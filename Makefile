@@ -14,7 +14,7 @@ COVER_FLOOR ?= 80.0
 # ~1s; the ceiling leaves room for cold build caches).
 LINT_BUDGET ?= 60s
 
-.PHONY: verify build vet lint lint-baseline lint-self test race race-debug race-stress race-failover fuzz fuzz-smoke determinism scenarios scenarios-smoke fanout-smoke cover ci bench bench-paper
+.PHONY: verify build vet lint lint-baseline lint-self perfbench-vet test race race-debug race-stress race-failover fuzz fuzz-smoke determinism scenarios scenarios-smoke fanout-smoke cover ci bench bench-paper
 
 ## verify: the tier-1 gate — vet, build, full test suite.
 verify: vet build test
@@ -39,6 +39,13 @@ lint-baseline:
 ## to hide behind.
 lint-self:
 	$(GO) run ./cmd/fluentvet -budget $(LINT_BUDGET) ./internal/lint/... ./cmd/fluentvet/...
+
+## perfbench-vet: go vet and fluentvet on the nested end-to-end benchmark
+## module (perfbench/, its own go.mod), which the root ./... patterns of
+## vet and lint do not reach.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
+	$(GO) run ./cmd/fluentvet -C perfbench ./...
 
 build:
 	$(GO) build ./...
@@ -154,7 +161,8 @@ cover:
 	done
 
 ## ci: the full pre-merge gate — vet + build + tests, fluentvet in
-## baseline-diff mode plus its self-analysis pass, the race detector over
+## baseline-diff mode plus its self-analysis pass, vet and fluentvet over
+## the nested perfbench module, the race detector over
 ## everything (plus a fluentdebug assertion pass), the determinism replay
 ## properties, the scenario-matrix smoke tier with its golden and
 ## dominance gates, a codec fuzz smoke, the adaptive-regret acceptance
@@ -162,6 +170,7 @@ cover:
 ci: verify
 	$(MAKE) lint
 	$(MAKE) lint-self
+	$(MAKE) perfbench-vet
 	$(GO) test -count=1 -run 'TestAdaptiveSweep' ./internal/experiments/
 	$(MAKE) scenarios-smoke
 	$(MAKE) fanout-smoke

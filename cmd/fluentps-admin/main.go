@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -311,19 +312,9 @@ func fetchView(ctx context.Context, ep transport.Endpoint, flags *clustercfg.Fla
 
 // unionRanks merges two rank sets, ascending.
 func unionRanks(a, b []int) []int {
-	seen := map[int]bool{}
-	for _, m := range a {
-		seen[m] = true
-	}
-	for _, m := range b {
-		seen[m] = true
-	}
-	out := make([]int, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Ints(out)
-	return out
+	out := slices.Concat(a, b)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // printView renders a view for humans.

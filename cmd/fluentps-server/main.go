@@ -29,7 +29,7 @@ func main() {
 	rank := flag.Int("rank", 0, "this server's rank")
 	joining := flag.Bool("joining", false, "this server joins a live cluster: start empty and wait for fluentps-admin join to stream keys in")
 	roAddr := flag.String("roaddr", "", "listen address for the read-optimized serving tier (mux sessions of MsgPullRO streams); empty disables it")
-	snapshotEvery := flag.Int("snapshotEvery", 0, "publish an RO snapshot every N V_train ticks (0 = every tick, <0 = never)")
+	snapshotEvery := flag.Int("snapshotEvery", 0, "once a reader has appeared, publish an RO snapshot every N V_train ticks (0 = every tick, <0 = never: the boot snapshot only)")
 	readerPool := flag.Int("readerPool", 0, "RO reader-pool goroutines (0 = default, <0 = serve inline on the apply loop)")
 	maxStreams := flag.Int("maxStreams", 0, "per-session cap on concurrently open RO streams (0 = transport default)")
 	flags.Register(flag.CommandLine)

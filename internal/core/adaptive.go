@@ -45,11 +45,8 @@ func (s *Server) reevaluate() error {
 		s.switches++
 		s.metrics.syncSwitches.Inc()
 	}
-	for _, rel := range released {
-		s.assertSSPStaleness(rel.Progress)
-		if err := s.releasePull(rel.Token.(pullToken)); err != nil {
-			return err
-		}
+	if err := s.releasePulls(released); err != nil {
+		return err
 	}
 	if switched || len(released) > 0 {
 		s.snapshotStats()

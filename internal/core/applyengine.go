@@ -182,10 +182,7 @@ func (s *Server) runBatched(queue chan queuedMsg, workers int) (shutdown bool, e
 			}
 			q = nq
 		case <-tick.C:
-			if err := s.reevaluate(); err != nil {
-				return false, err
-			}
-			if err := s.replTick(); err != nil {
+			if err := s.housekeep(); err != nil {
 				return false, err
 			}
 			continue
@@ -286,13 +283,7 @@ func (e *applyEngine) stagePush(msg *transport.Message) error {
 	e.pairs = append(e.pairs, dedupPair{from: msg.From, seq: msg.Seq})
 	e.acts = append(e.acts, pendingAct{kind: actPushAck, to: msg.From, seq: msg.Seq})
 	for _, rel := range released {
-		s.assertSSPStaleness(rel.Progress)
-		tok := rel.Token.(pullToken)
-		s.metrics.dprDrained.Inc()
-		if s.metrics.on && !tok.at.IsZero() {
-			s.metrics.dprWait.Observe(time.Since(tok.at))
-		}
-		e.acts = append(e.acts, pendingAct{kind: actPullResp, tok: tok})
+		e.acts = append(e.acts, pendingAct{kind: actPullResp, tok: s.drained(rel)})
 	}
 	return nil
 }
@@ -328,46 +319,14 @@ func (e *applyEngine) stageGrad(k keyrange.Key, grad []float64) {
 
 // stagePull runs handlePull's control logic; an immediate answer becomes
 // a deferred act so it observes the wave's applies. Ownership of msg
-// passes to the engine.
+// passes to the engine, which releases it after the acts run.
 func (e *applyEngine) stagePull(msg *transport.Message) error {
-	s := e.s
 	e.msgs = append(e.msgs, msg)
-	if out, dup := s.dedupLookup(msg.From, msg.Seq); dup {
-		s.dedupHits++
-		s.metrics.dedupPullHits.Inc()
-		if out == dedupPullAnswered {
-			// Re-answer a retried pull whose response was lost. The keys
-			// alias msg, which stays alive until after the acts run.
-			e.acts = append(e.acts, pendingAct{kind: actPullResp,
-				tok: pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys}})
-		}
-		return nil
-	}
-	if s.staleFenced(msg) {
-		return s.rejectStale(msg)
-	}
-	worker := int(msg.From.Rank)
-	progress := int(msg.Progress)
-	s.metrics.pulls.Inc()
-	keys := msg.Keys
-	if msg.ReceiverOwned() {
-		// A buffered DPR token outlives the wave that recycles this
-		// message — take a copy (same rule as the serial path).
-		keys = append([]keyrange.Key(nil), keys...)
-	}
-	tok := pullToken{from: msg.From, seq: msg.Seq, keys: keys}
-	if s.metrics.on {
-		tok.at = time.Now()
-	}
-	if s.ctrl.OnPull(worker, progress, tok) {
-		s.assertSSPStaleness(progress)
-		s.dedupRecord(msg.From, msg.Seq, dedupPullAnswered)
+	tok, answer, err := e.s.takePull(msg)
+	if answer {
 		e.acts = append(e.acts, pendingAct{kind: actPullResp, tok: tok})
-		return nil
 	}
-	s.dedupRecord(msg.From, msg.Seq, dedupPullPending)
-	s.metrics.dprBuffered.Inc()
-	return nil
+	return err
 }
 
 // flush applies the wave's dirty stripes, then executes the deferred

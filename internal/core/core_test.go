@@ -10,9 +10,17 @@ import (
 	"github.com/fluentps/fluentps/internal/transport"
 )
 
-// testCluster wires one server (owning the whole key space) and two
-// workers over an in-process network.
+// testServer runs one server owning the whole key space, for the given
+// number of workers, over an in-process network.
 func testServer(t *testing.T, model syncmodel.Model, drain syncmodel.DrainPolicy, workers int) (*transport.ChanNetwork, *Server, *keyrange.Layout, *keyrange.Assignment) {
+	t.Helper()
+	return testServerApply(t, model, drain, workers, 0)
+}
+
+// testServerApply is testServer with an explicit ApplyWorkers, for tests
+// that must cover the serial (1) and batched (>1) apply loops whatever
+// the machine's GOMAXPROCS.
+func testServerApply(t *testing.T, model syncmodel.Model, drain syncmodel.DrainPolicy, workers, applyWorkers int) (*transport.ChanNetwork, *Server, *keyrange.Layout, *keyrange.Assignment) {
 	t.Helper()
 	layout := keyrange.MustLayout([]int{2, 3})
 	assign, err := keyrange.EPS(layout, 1)
@@ -21,12 +29,13 @@ func testServer(t *testing.T, model syncmodel.Model, drain syncmodel.DrainPolicy
 	}
 	net := transport.NewChanNetwork(64)
 	srv, err := NewServer(net.Endpoint(transport.Server(0)), ServerConfig{
-		Rank:       0,
-		NumWorkers: workers,
-		Layout:     layout,
-		Assignment: assign,
-		Model:      model,
-		Drain:      drain,
+		Rank:         0,
+		NumWorkers:   workers,
+		Layout:       layout,
+		Assignment:   assign,
+		Model:        model,
+		Drain:        drain,
+		ApplyWorkers: applyWorkers,
 		Init: func(k keyrange.Key, seg []float64) {
 			for i := range seg {
 				seg[i] = 1

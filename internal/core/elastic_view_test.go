@@ -10,6 +10,7 @@ import (
 
 	"github.com/fluentps/fluentps/internal/clusterview"
 	"github.com/fluentps/fluentps/internal/keyrange"
+	"github.com/fluentps/fluentps/internal/kvstore"
 	"github.com/fluentps/fluentps/internal/syncmodel"
 	"github.com/fluentps/fluentps/internal/transport"
 )
@@ -293,4 +294,110 @@ func TestDrainMovesKeysWithoutStopping(t *testing.T) {
 	}
 	h.auditExactSum(ctx)
 	h.shutdown(2, 0, 1)
+}
+
+// A pull buffered as a DPR on a server whose keys then move away is
+// rejected as stale-routed at the view install, so the worker reissues
+// it to the new owner — instead of waiting forever for a release by
+// pushes that now go elsewhere (the drain wedge).
+func TestViewInstallRejectsStrandedDPR(t *testing.T) {
+	layout := keyrange.MustLayout([]int{2, 3, 2, 3})
+	assign, err := keyrange.EPS(layout, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewChanNetwork(64)
+	view := clusterview.Bootstrap("", make([]string, 2), make([]string, 2), assign, 1)
+	for m := 0; m < 2; m++ {
+		srv, err := NewServer(net.Endpoint(transport.Server(m)), ServerConfig{
+			Rank: m, NumWorkers: 2, Layout: layout,
+			Model: syncmodel.BSP(), Drain: syncmodel.Lazy, View: view,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Run()
+	}
+	admin := net.Endpoint(transport.Worker(50))
+	t.Cleanup(func() {
+		for m := 0; m < 2; m++ {
+			_ = admin.Send(&transport.Message{Type: transport.MsgShutdown, To: transport.Server(m)})
+		}
+		admin.Close()
+	})
+	ep0 := net.Endpoint(transport.Worker(0))
+	defer ep0.Close()
+
+	// Worker 0 pushes round 0 and pulls; under BSP the pull buffers until
+	// worker 1 pushes, which it never does here.
+	keys := assign.KeysOf(0)
+	grad := kvstore.GatherInto(nil, layout, make([]float64, layout.TotalDim()), keys)
+	stamp := view.EpochStamp()
+	if err := ep0.Send(&transport.Message{Type: transport.MsgPush, To: transport.Server(0), Seq: 1, View: stamp, Keys: keys, Vals: grad}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := ep0.Recv(); err != nil || ack.Type != transport.MsgPushAck {
+		t.Fatalf("push answered %v, %v; want push_ack", ack, err)
+	}
+	if err := ep0.Send(&transport.Message{Type: transport.MsgPull, To: transport.Server(0), Seq: 2, View: stamp, Keys: keys}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Drain server 0: all its keys move to server 1.
+	next, err := view.WithDrained(0, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < 2; m++ {
+		if err := admin.Send(&transport.Message{Type: transport.MsgView, To: transport.Server(m), Seq: uint64(m), Vals: next.Encode(nil)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(chan *transport.Message, 1)
+	go func() {
+		if m, err := ep0.Recv(); err == nil {
+			got <- m
+		}
+	}()
+	select {
+	case resp := <-got:
+		if resp.Type != transport.MsgStaleView || resp.Seq != 2 {
+			t.Fatalf("buffered pull answered %s seq %d, want stale_view seq 2", resp.Type, resp.Seq)
+		}
+		transport.ReleaseReceived(resp)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the DPR buffered for keys that moved away was never answered")
+	}
+}
+
+// A worker that adopted a newer view but still routes by the old
+// assignment (requests were in flight at the switch point) stamps the
+// old epoch, so a server that gave the keys away fences the request
+// instead of taking it as its own.
+func TestWorkerStampsRoutingEpoch(t *testing.T) {
+	layout := keyrange.MustLayout([]int{2, 3, 2, 3})
+	assign, err := keyrange.EPS(layout, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := clusterview.Bootstrap("", make([]string, 2), make([]string, 1), assign, 1)
+	w, err := NewWorker(transport.NewChanNetwork(4).Endpoint(transport.Worker(0)), WorkerConfig{
+		Rank: 0, Layout: layout, View: view,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	next, err := view.WithDrained(1, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.adoptFromWire(next.Encode(nil))
+	if got := w.newRequest(transport.MsgPull, 0, 0, nil).msg.View; got != view.EpochStamp() {
+		t.Fatalf("request routed by the old assignment stamped epoch %d, want %d", got, view.EpochStamp())
+	}
+	w.maybeAdoptAssignment()
+	if got := w.newRequest(transport.MsgPull, 0, 0, nil).msg.View; got != next.EpochStamp() {
+		t.Fatalf("request after the assignment switch stamped epoch %d, want %d", got, next.EpochStamp())
+	}
 }

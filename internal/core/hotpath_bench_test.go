@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"github.com/fluentps/fluentps/internal/keyrange"
 	"github.com/fluentps/fluentps/internal/syncmodel"
@@ -10,18 +12,16 @@ import (
 	"github.com/fluentps/fluentps/internal/transport"
 )
 
-// benchPushPull measures one full synchronous training step — scatter a
-// push across both shards, await the acks, pull and reassemble the
-// parameters — over the in-process transport, with every node handed reg
-// as its telemetry sink. Run with -benchmem: the pooled frames and
-// per-server pipelines keep the steady state down to a handful of
-// allocations (the two operation handles), and telemetry must not add
-// any — enabled instruments are atomics, disabled ones a nil branch.
-func benchPushPull(b *testing.B, reg *telemetry.Registry) {
+// pushPullRig builds the hot-path shape — one worker, two ASP shards
+// on the in-process transport, every node handed reg as its telemetry
+// sink, no reader — warms its pools, and returns one full synchronous
+// training step: scatter a push across both shards, await the acks, pull
+// and reassemble the parameters. timeout sets WorkerConfig.Timeout.
+func pushPullRig(tb testing.TB, reg *telemetry.Registry, timeout time.Duration) (step func(iter int) error) {
 	layout := keyrange.MustLayout([]int{64, 64})
 	assign, err := keyrange.EPS(layout, 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	net := transport.NewChanNetwork(256)
 	for m := 0; m < 2; m++ {
@@ -32,46 +32,58 @@ func benchPushPull(b *testing.B, reg *telemetry.Registry) {
 			Telemetry: reg,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		go srv.Run()
 	}
 	w, err := NewWorker(net.Endpoint(transport.Worker(0)), WorkerConfig{
-		Rank: 0, Layout: layout, Assignment: assign, Telemetry: reg,
+		Rank: 0, Layout: layout, Assignment: assign, Telemetry: reg, Timeout: timeout,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer w.Close()
+	tb.Cleanup(func() {
+		w.Close()
+		ep := net.Endpoint(transport.Worker(99))
+		for m := 0; m < 2; m++ {
+			_ = ep.Send(&transport.Message{Type: transport.MsgShutdown, To: transport.Server(m)})
+		}
+		ep.Close()
+	})
 	ctx := context.Background()
 	delta := make([]float64, layout.TotalDim())
 	params := make([]float64, layout.TotalDim())
-
-	// Warm the pools before counting.
-	for i := 0; i < 8; i++ {
-		if err := w.SPush(ctx, i, delta); err != nil {
-			b.Fatal(err)
+	step = func(iter int) error {
+		if err := w.SPush(ctx, iter, delta); err != nil {
+			return err
 		}
-		if err := w.SPull(ctx, i, params); err != nil {
-			b.Fatal(err)
+		return w.SPull(ctx, iter, params)
+	}
+	// Warm the pools before anyone counts.
+	for i := 0; i < 8; i++ {
+		if err := step(i); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	return step
+}
+
+// benchPushPull measures the pushPullRig step. Run with -benchmem: the
+// pooled frames, per-server pipelines, reused wait timers, and a read
+// tier asleep without readers keep the steady state at two allocations
+// (the two operation handles; TestPushPullStepAllocs pins it), and
+// telemetry must not add any — enabled instruments are atomics, disabled
+// ones a nil branch.
+func benchPushPull(b *testing.B, reg *telemetry.Registry) {
+	step := pushPullRig(b, reg, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.SPush(ctx, 8+i, delta); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.SPull(ctx, 8+i, params); err != nil {
+		if err := step(8 + i); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	ep := net.Endpoint(transport.Worker(99))
-	for m := 0; m < 2; m++ {
-		_ = ep.Send(&transport.Message{Type: transport.MsgShutdown, To: transport.Server(m)})
-	}
-	ep.Close()
 }
 
 // BenchmarkPushPullHotPath is the baseline: no telemetry configured.
@@ -93,4 +105,38 @@ func BenchmarkPushPullHotPathTelemetry(b *testing.B) {
 // are nil and every guard is a single predictable branch).
 func BenchmarkPushPullHotPathTelemetryNop(b *testing.B) {
 	benchPushPull(b, telemetry.Nop)
+}
+
+// pushPullStepAllocs is the steady-state allocation count of one
+// pushPullRig step: the two operation handles. Everything else — frames,
+// requests, wait timers, pull tokens, snapshots of a reader-free server —
+// is pooled, reused, or not made at all.
+const pushPullStepAllocs = 2
+
+// TestPushPullStepAllocs pins the hot-path step's allocation count, with
+// and without a worker timeout (whose per-request timer is reused), so a
+// regression like an unconditional snapshot publish fails go test.
+func TestPushPullStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprintf("timeout=%v", timeout), func(t *testing.T) {
+			step := pushPullRig(t, telemetry.Nop, timeout)
+			iter := 8
+			var err error
+			allocs := testing.AllocsPerRun(200, func() {
+				if e := step(iter); e != nil && err == nil {
+					err = e
+				}
+				iter++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs != pushPullStepAllocs {
+				t.Fatalf("push+pull step allocates %v times, want %d", allocs, pushPullStepAllocs)
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/fluentps/fluentps/internal/syncmodel"
 	"github.com/fluentps/fluentps/internal/transport"
@@ -158,14 +159,21 @@ func (s *Server) handleStats(msg *transport.Message) error {
 	return nil
 }
 
+// statsSeq numbers QueryStats requests process-wide, so a late answer
+// to an earlier query can never pass for a later one's.
+var statsSeq atomic.Uint64
+
 // QueryStats fetches a live server's synchronization state from an admin
-// endpoint (one not used by a Worker's receive loop). ctx bounds the
-// wait for the server's reply; nil means wait forever.
+// endpoint (one not used by a Worker's receive loop). Only the answer
+// from that server to this query counts: other servers' answers and
+// stale ones left by abandoned queries are released and skipped. ctx
+// bounds the wait for the server's reply; nil means wait forever.
 func QueryStats(ctx context.Context, ep transport.Endpoint, server int) (ShardState, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	msg := &transport.Message{Type: transport.MsgStats, To: transport.Server(server), Seq: 7}
+	from, seq := transport.Server(server), statsSeq.Add(1)
+	msg := &transport.Message{Type: transport.MsgStats, To: from, Seq: seq}
 	if err := ep.Send(msg); err != nil {
 		return ShardState{}, err
 	}
@@ -174,7 +182,7 @@ func QueryStats(ctx context.Context, ep transport.Endpoint, server int) (ShardSt
 		if err != nil {
 			return ShardState{}, err
 		}
-		if resp.Type != transport.MsgStatsResp {
+		if resp.Type != transport.MsgStatsResp || resp.From != from || resp.Seq != seq {
 			transport.ReleaseReceived(resp)
 			continue // tolerate stray traffic on shared admin endpoints
 		}

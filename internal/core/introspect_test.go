@@ -57,6 +57,38 @@ func TestQueryStatsReflectsLiveState(t *testing.T) {
 	}
 }
 
+// QueryStats takes only its own server's answer to its own query: a
+// stray answer from another server (carrying the very seq the query
+// will use) and a stale answer from the right server to an earlier
+// query, both queued ahead of the real one, are skipped.
+func TestQueryStatsSkipsStrayAndStaleResponses(t *testing.T) {
+	net, _, _, _ := testServer(t, syncmodel.ASP(), syncmodel.Lazy, 1)
+	admin := net.Endpoint(transport.Worker(7))
+	defer admin.Close()
+	injector := net.Endpoint(transport.Worker(8))
+	defer injector.Close()
+
+	next := statsSeq.Load() + 1
+	strays := []*transport.Message{
+		{From: transport.Server(1), Seq: next},
+		{From: transport.Server(0), Seq: next - 1},
+	}
+	for _, m := range strays {
+		m.Type, m.To = transport.MsgStatsResp, admin.ID()
+		m.Vals = ShardState{VTrain: 777, Keys: 999}.encode(nil)
+		if err := injector.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := QueryStats(tctx, admin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.VTrain != 0 || st.Keys != 2 {
+		t.Fatalf("QueryStats returned %+v, want the live server's state (VTrain 0, 2 keys)", st)
+	}
+}
+
 func TestDecodeShardStateValidation(t *testing.T) {
 	if _, err := decodeShardState([]float64{1, 2, 3}); err == nil {
 		t.Error("short payload accepted")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -97,135 +98,144 @@ func TestWorkerTimeoutDoesNotLeakWaiting(t *testing.T) {
 
 // TestDuplicatePushAppliedOnce: the same (From, Seq) push delivered twice
 // must be applied to the shard exactly once, acked twice, and counted as
-// one dedup hit — the idempotence that makes transport retries safe.
+// one dedup hit — the idempotence that makes transport retries safe. Both
+// apply loops.
 func TestDuplicatePushAppliedOnce(t *testing.T) {
-	net, srv, layout, assign := testServer(t, syncmodel.ASP(), syncmodel.Lazy, 2)
-	ep := net.Endpoint(transport.Worker(0))
-	defer ep.Close()
+	for _, aw := range []int{1, 2} {
+		t.Run(fmt.Sprintf("applyWorkers=%d", aw), func(t *testing.T) {
+			net, srv, layout, assign := testServerApply(t, syncmodel.ASP(), syncmodel.Lazy, 2, aw)
+			ep := net.Endpoint(transport.Worker(0))
+			defer ep.Close()
 
-	keys := assign.KeysOf(0)
-	delta := make([]float64, layout.TotalDim())
-	for i := range delta {
-		delta[i] = 2
-	}
-	push := &transport.Message{
-		Type:     transport.MsgPush,
-		To:       transport.Server(0),
-		Seq:      42,
-		Progress: 0,
-		Keys:     keys,
-		Vals:     kvstore.GatherInto(nil, layout, delta, keys),
-	}
-	for i := 0; i < 2; i++ {
-		if err := ep.Send(push); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		ack, err := ep.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ack.Type != transport.MsgPushAck || ack.Seq != 42 {
-			t.Fatalf("reply %d = %s seq %d, want push_ack seq 42", i, ack.Type, ack.Seq)
-		}
-		transport.ReleaseReceived(ack)
-	}
+			keys := assign.KeysOf(0)
+			delta := make([]float64, layout.TotalDim())
+			for i := range delta {
+				delta[i] = 2
+			}
+			push := &transport.Message{
+				Type:     transport.MsgPush,
+				To:       transport.Server(0),
+				Seq:      42,
+				Progress: 0,
+				Keys:     keys,
+				Vals:     kvstore.GatherInto(nil, layout, delta, keys),
+			}
+			for i := 0; i < 2; i++ {
+				if err := ep.Send(push); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				ack, err := ep.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ack.Type != transport.MsgPushAck || ack.Seq != 42 {
+					t.Fatalf("reply %d = %s seq %d, want push_ack seq 42", i, ack.Type, ack.Seq)
+				}
+				transport.ReleaseReceived(ack)
+			}
 
-	// Parameters start at 1 (testServer's Init); one push of 2 scaled by
-	// 1/N with N=2 gives 2.0 — a double application would give 3.0.
-	pull := &transport.Message{Type: transport.MsgPull, To: transport.Server(0), Seq: 43, Keys: keys}
-	if err := ep.Send(pull); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ep.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range resp.Vals {
-		if v != 2.0 {
-			t.Fatalf("param[%d] = %v, want 2.0 (duplicate push was re-applied)", i, v)
-		}
-	}
-	transport.ReleaseReceived(resp)
-	st := srv.Stats()
-	if st.DedupHits != 1 {
-		t.Fatalf("DedupHits = %d, want 1", st.DedupHits)
-	}
-	if st.Pushes != 1 {
-		t.Fatalf("controller Pushes = %d, want 1", st.Pushes)
+			// Parameters start at 1 (testServer's Init); one push of 2 scaled by
+			// 1/N with N=2 gives 2.0 — a double application would give 3.0.
+			pull := &transport.Message{Type: transport.MsgPull, To: transport.Server(0), Seq: 43, Keys: keys}
+			if err := ep.Send(pull); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := ep.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range resp.Vals {
+				if v != 2.0 {
+					t.Fatalf("param[%d] = %v, want 2.0 (duplicate push was re-applied)", i, v)
+				}
+			}
+			transport.ReleaseReceived(resp)
+			st := srv.Stats()
+			if st.DedupHits != 1 {
+				t.Fatalf("DedupHits = %d, want 1", st.DedupHits)
+			}
+			if st.Pushes != 1 {
+				t.Fatalf("controller Pushes = %d, want 1", st.Pushes)
+			}
+		})
 	}
 }
 
 // TestDuplicatePullReanswered: a duplicated pull whose original was
 // already answered (the lost-response case) is answered again; one whose
 // original is still buffered as a DPR is ignored, then answered once on
-// release.
+// release. Both apply loops.
 func TestDuplicatePullLifecycle(t *testing.T) {
-	net, srv, layout, assign := testServer(t, syncmodel.BSP(), syncmodel.Lazy, 2)
-	ep0 := net.Endpoint(transport.Worker(0))
-	ep1 := net.Endpoint(transport.Worker(1))
-	defer ep0.Close()
-	defer ep1.Close()
-	keys := assign.KeysOf(0)
-	zero := kvstore.GatherInto(nil, layout, make([]float64, layout.TotalDim()), keys)
+	for _, aw := range []int{1, 2} {
+		t.Run(fmt.Sprintf("applyWorkers=%d", aw), func(t *testing.T) {
+			net, srv, layout, assign := testServerApply(t, syncmodel.BSP(), syncmodel.Lazy, 2, aw)
+			ep0 := net.Endpoint(transport.Worker(0))
+			ep1 := net.Endpoint(transport.Worker(1))
+			defer ep0.Close()
+			defer ep1.Close()
+			keys := assign.KeysOf(0)
+			zero := kvstore.GatherInto(nil, layout, make([]float64, layout.TotalDim()), keys)
 
-	// Worker 0 pushes round 0 and pulls; under BSP the pull waits for
-	// worker 1 — send it twice while it is buffered.
-	if err := ep0.Send(&transport.Message{Type: transport.MsgPush, To: transport.Server(0), Seq: 1, Keys: keys, Vals: zero}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ep0.Recv(); err != nil { // push ack
-		t.Fatal(err)
-	}
-	pull := &transport.Message{Type: transport.MsgPull, To: transport.Server(0), Seq: 2, Progress: 0, Keys: keys}
-	if err := ep0.Send(pull); err != nil {
-		t.Fatal(err)
-	}
-	if err := ep0.Send(pull); err != nil { // duplicate of a pending DPR
-		t.Fatal(err)
-	}
-	// Worker 1's push closes the round and releases the DPR.
-	if err := ep1.Send(&transport.Message{Type: transport.MsgPush, To: transport.Server(0), Seq: 1, Keys: keys, Vals: zero, Progress: 0}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ep0.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != transport.MsgPullResp || resp.Seq != 2 {
-		t.Fatalf("got %s seq %d, want pull_resp seq 2", resp.Type, resp.Seq)
-	}
-	// The duplicate of the pending DPR must NOT have produced a second
-	// response. Delivery per peer pair is FIFO, so a stats probe sent now
-	// must be answered *next* — any extra pull response would arrive
-	// before it.
-	if err := ep0.Send(&transport.Message{Type: transport.MsgStats, To: transport.Server(0), Seq: 99}); err != nil {
-		t.Fatal(err)
-	}
-	probe, err := ep0.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.Type != transport.MsgStatsResp {
-		t.Fatalf("got %s seq %d, want stats_resp (buffered duplicate answered twice)", probe.Type, probe.Seq)
-	}
-	transport.ReleaseReceived(probe)
-	// But a duplicate arriving after the answer (lost response) is
-	// re-answered with current parameters.
-	if err := ep0.Send(pull); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = ep0.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != transport.MsgPullResp || resp.Seq != 2 {
-		t.Fatalf("got %s seq %d, want re-answered pull_resp seq 2", resp.Type, resp.Seq)
-	}
-	transport.ReleaseReceived(resp)
-	if st := srv.Stats(); st.DedupHits != 2 || st.Pulls != 1 {
-		t.Fatalf("DedupHits = %d, Pulls = %d; want 2 dedup hits and 1 controller pull", st.DedupHits, st.Pulls)
+			// Worker 0 pushes round 0 and pulls; under BSP the pull waits for
+			// worker 1 — send it twice while it is buffered.
+			if err := ep0.Send(&transport.Message{Type: transport.MsgPush, To: transport.Server(0), Seq: 1, Keys: keys, Vals: zero}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ep0.Recv(); err != nil { // push ack
+				t.Fatal(err)
+			}
+			pull := &transport.Message{Type: transport.MsgPull, To: transport.Server(0), Seq: 2, Progress: 0, Keys: keys}
+			if err := ep0.Send(pull); err != nil {
+				t.Fatal(err)
+			}
+			if err := ep0.Send(pull); err != nil { // duplicate of a pending DPR
+				t.Fatal(err)
+			}
+			// Worker 1's push closes the round and releases the DPR.
+			if err := ep1.Send(&transport.Message{Type: transport.MsgPush, To: transport.Server(0), Seq: 1, Keys: keys, Vals: zero, Progress: 0}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := ep0.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Type != transport.MsgPullResp || resp.Seq != 2 {
+				t.Fatalf("got %s seq %d, want pull_resp seq 2", resp.Type, resp.Seq)
+			}
+			// The duplicate of the pending DPR must NOT have produced a second
+			// response. Delivery per peer pair is FIFO, so a stats probe sent now
+			// must be answered *next* — any extra pull response would arrive
+			// before it.
+			if err := ep0.Send(&transport.Message{Type: transport.MsgStats, To: transport.Server(0), Seq: 99}); err != nil {
+				t.Fatal(err)
+			}
+			probe, err := ep0.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probe.Type != transport.MsgStatsResp {
+				t.Fatalf("got %s seq %d, want stats_resp (buffered duplicate answered twice)", probe.Type, probe.Seq)
+			}
+			transport.ReleaseReceived(probe)
+			// But a duplicate arriving after the answer (lost response) is
+			// re-answered with current parameters.
+			if err := ep0.Send(pull); err != nil {
+				t.Fatal(err)
+			}
+			resp, err = ep0.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Type != transport.MsgPullResp || resp.Seq != 2 {
+				t.Fatalf("got %s seq %d, want re-answered pull_resp seq 2", resp.Type, resp.Seq)
+			}
+			transport.ReleaseReceived(resp)
+			if st := srv.Stats(); st.DedupHits != 2 || st.Pulls != 1 {
+				t.Fatalf("DedupHits = %d, Pulls = %d; want 2 dedup hits and 1 controller pull", st.DedupHits, st.Pulls)
+			}
+		})
 	}
 }
 
@@ -316,5 +326,26 @@ func TestRetryExhaustionFailsRequest(t *testing.T) {
 	}
 	if n := w.Outstanding(); n != 0 {
 		t.Fatalf("waiting table holds %d entries after retry exhaustion", n)
+	}
+}
+
+// A wait timer reused across requests never inherits a stale tick: once
+// a timer fired unobserved, idleTimer drains it, so re-arming it for an
+// hour does not fire at once (go 1.22 channel-timer semantics buffer the
+// tick in the channel).
+func TestReusedWaitTimerDropsStaleTick(t *testing.T) {
+	var tm *time.Timer
+	armTimer(&tm, time.Nanosecond)
+	waitUntil(t, 5*time.Second, "the timer to fire", func() bool { return len(tm.C) == 1 })
+	idleTimer(tm)
+	c := armTimer(&tm, time.Hour)
+	select {
+	case <-c:
+		t.Fatal("re-armed timer delivered the stale tick of its previous use")
+	default:
+	}
+	idleTimer(tm) // armed and unfired: Stop alone idles it
+	if len(tm.C) != 0 {
+		t.Fatal("idle timer holds a tick")
 	}
 }

@@ -26,11 +26,14 @@ import (
 //   - With the pool disabled (ReaderPool < 0) the apply loop serves
 //     MsgPullRO inline — still lock-free, but serialized with training.
 //
-// Full-shard responses are zero-copy: they alias the snapshot's cached
-// flat payload and key slice into a non-pooled message (immutable by
-// the snapshot contract, so aliasing is safe even on pointer-passing
-// transports). Subset responses copy, since they are assembled per
-// request.
+// Full-shard responses are zero-copy: they alias the snapshot's array
+// and key slice into a non-pooled message (immutable by the snapshot
+// contract, so aliasing is safe even on pointer-passing transports).
+// Subset responses copy, since they are assembled per request.
+//
+// The tier sleeps until its first reader (Server.roAwake): a server
+// nobody reads from keeps only its boot snapshot and pays one atomic
+// load per wave.
 
 // DefaultReaderPool is the reader-pool size used when
 // ServerConfig.ReaderPool is zero.
@@ -114,9 +117,8 @@ func (s *Server) handlePullRO(msg *transport.Message, reply roSender) error {
 		Progress: int32(snap.VTrain),
 	}
 	if len(msg.Keys) == 0 {
-		// Whole-shard pull: alias the snapshot's cached flat payload and
-		// frozen key slice — zero copies, zero locks, O(1) after the
-		// first reader of this epoch materializes the cache.
+		// Whole-shard pull: alias the snapshot's array and frozen key
+		// slice — zero copies, zero locks, O(1).
 		resp.Keys = snap.Keys()
 		resp.Vals = snap.Flat()
 	} else {
@@ -160,6 +162,7 @@ type ROConn interface {
 //
 //lint:ignore ctxcheck closing the stream is the cancellation surface: Recv unblocks with ErrClosed on session or server shutdown
 func (s *Server) HandleRO(conn ROConn) error {
+	s.roAwake.Store(true)
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -184,20 +187,21 @@ func (s *Server) HandleRO(conn ROConn) error {
 	}
 }
 
-// maybePublishSnapshot republishes the RO snapshot at apply-wave
-// boundaries once V_train has advanced SnapshotEvery ticks past the
-// last publish (or the key set changed size under elastic migration).
+// maybePublishSnapshot is the apply-wave-boundary publish: once the tier
+// is awake, a new epoch is cut when V_train has advanced SnapshotEvery
+// ticks past the last publish.
+func (s *Server) maybePublishSnapshot() { s.publishAfter(max(s.cfg.SnapshotEvery, 1)) }
+
+// publishAfter republishes the RO snapshot when the tier is awake and
+// V_train has advanced at least ticks past the last publish, or the key
+// set changed under elastic migration. Asleep, it is one atomic load.
 // Called only from the apply goroutine at quiescence points.
-func (s *Server) maybePublishSnapshot() {
-	if s.cfg.SnapshotEvery < 0 {
+func (s *Server) publishAfter(ticks int) {
+	if !s.roAwake.Load() || s.cfg.SnapshotEvery < 0 {
 		return
 	}
-	every := s.cfg.SnapshotEvery
-	if every == 0 {
-		every = 1
-	}
 	vt := s.ctrl.VTrain()
-	if vt-s.lastPub < every && len(s.shard.Keys()) == len(s.shard.ROSnapshot().Keys()) {
+	if vt-s.lastPub < ticks && !s.shard.KeysChangedSincePublish() {
 		return
 	}
 	var start time.Time

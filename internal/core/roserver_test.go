@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -345,5 +346,213 @@ func TestROReaderPoolShutdownLeakFree(t *testing.T) {
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// roTierServer starts a one-shard ASP server with the given apply-loop
+// width and housekeeping period, plus its training worker.
+func roTierServer(t *testing.T, applyWorkers int, tick time.Duration) (*transport.ChanNetwork, *Server, *Worker, *telemetry.Registry) {
+	t.Helper()
+	reg := telemetry.New()
+	layout := keyrange.MustLayout([]int{2, 3})
+	assign, err := keyrange.EPS(layout, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnet := transport.NewChanNetwork(64)
+	srv, err := NewServer(cnet.Endpoint(transport.Server(0)), ServerConfig{
+		Rank: 0, NumWorkers: 1, Layout: layout, Assignment: assign,
+		Model: syncmodel.ASP(), Drain: syncmodel.Lazy,
+		ApplyWorkers: applyWorkers, AdaptEvery: tick, Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Run()
+	w, err := NewWorker(cnet.Endpoint(transport.Worker(0)), WorkerConfig{Rank: 0, Layout: layout, Assignment: assign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		w.Close()
+		ep := cnet.Endpoint(transport.Worker(99))
+		_ = ep.Send(&transport.Message{Type: transport.MsgShutdown, To: transport.Server(0)})
+		ep.Close()
+	})
+	return cnet, srv, w, reg
+}
+
+// trainWaves runs n synchronous push+pull steps from iteration first,
+// leaving the pulled parameters in params.
+func trainWaves(t *testing.T, w *Worker, first, n int, params []float64) {
+	t.Helper()
+	delta := []float64{1, 2, 3, 4, 5}
+	for i := first; i < first+n; i++ {
+		if err := w.SPush(tctx, i, delta); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.SPull(tctx, i, params); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The read tier sleeps until its first reader: a server nobody reads
+// from trains without publishing, the first RO pull wakes it, and one
+// wave later an RO pull sees the live V_train. Both apply loops.
+func TestROTierSleepsUntilFirstRead(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("applyWorkers=%d", workers), func(t *testing.T) {
+			cnet, srv, w, reg := roTierServer(t, workers, time.Hour)
+			params := make([]float64, 5)
+			trainWaves(t, w, 0, 100, params)
+
+			if got := reg.Gauge("server.snapshot_epoch").Value(); got != 1 {
+				t.Fatalf("snapshot_epoch = %d after 100 reader-free waves, want the boot epoch 1", got)
+			}
+			if n := reg.Histogram("server.snapshot_publish_ns").Count(); n != 0 {
+				t.Fatalf("%d snapshot publishes without a reader, want 0", n)
+			}
+			if srv.roAwake.Load() {
+				t.Fatal("read tier awake before any reader")
+			}
+
+			ro := NewROClient(cnet.Endpoint(transport.Worker(7)), 0)
+			epoch, vtrain, err := ro.Pull(tctx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if epoch != 1 || vtrain != 0 {
+				t.Fatalf("first RO pull got epoch %d vtrain %d, want the boot snapshot 1/0", epoch, vtrain)
+			}
+			if !srv.roAwake.Load() {
+				t.Fatal("the first RO pull did not wake the read tier")
+			}
+
+			trainWaves(t, w, 100, 1, params)
+			dst := make([]float64, 5)
+			_, vtrain, err = ro.Pull(tctx, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			admin := cnet.Endpoint(transport.Worker(8))
+			defer admin.Close()
+			st, err := QueryStats(tctx, admin, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vtrain != st.VTrain || vtrain < 101 {
+				t.Fatalf("RO pull one wave after waking: vtrain %d, live V_train %d", vtrain, st.VTrain)
+			}
+			for i := range dst {
+				if dst[i] != params[i] {
+					t.Fatalf("RO pull %v, worker pull %v", dst, params)
+				}
+			}
+		})
+	}
+}
+
+// A tier woken after training went idle gets the final parameters from
+// the housekeeping tick — exactly one publish, since V_train no longer
+// moves — instead of serving the boot snapshot forever. Both apply
+// loops; a HandleRO attach is the wake-up.
+func TestROTierWokenWhenIdlePublishesOnTick(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("applyWorkers=%d", workers), func(t *testing.T) {
+			const tick = 5 * time.Millisecond
+			_, srv, w, reg := roTierServer(t, workers, tick)
+			params := make([]float64, 5)
+			trainWaves(t, w, 0, 100, params)
+
+			cc, sc := net.Pipe()
+			serverSess := transport.NewMuxServer(sc, transport.MuxConfig{})
+			clientSess := transport.NewMuxClient(cc, transport.MuxConfig{})
+			t.Cleanup(func() { _ = clientSess.Close(); _ = serverSess.Close() })
+			go func() {
+				st, err := serverSess.AcceptStream()
+				if err == nil {
+					_ = srv.HandleRO(st)
+				}
+			}()
+			st, err := clientSess.OpenStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ro := NewROClient(st, 0)
+			dst := make([]float64, 5)
+			waitUntil(t, 5*time.Second, "the idle tick to publish the final parameters", func() bool {
+				_, vtrain, err := ro.Pull(tctx, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return vtrain == 100
+			})
+			for i := range dst {
+				if dst[i] != params[i] {
+					t.Fatalf("RO pull %v, final parameters %v", dst, params)
+				}
+			}
+			holdsFor(t, 10*tick, "no republish while V_train stands still", func() bool {
+				return reg.Gauge("server.snapshot_epoch").Value() == 2
+			})
+		})
+	}
+}
+
+// fakeROConn is an in-memory ROConn: Recv drains in (then fails with
+// err, ErrClosed by default), Send collects into out.
+type fakeROConn struct {
+	in  chan *transport.Message
+	out []*transport.Message
+	err error
+}
+
+func (c *fakeROConn) Recv() (*transport.Message, error) {
+	if m, ok := <-c.in; ok {
+		return m, nil
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return nil, transport.ErrClosed
+}
+
+func (c *fakeROConn) Send(m *transport.Message) error {
+	c.out = append(c.out, m)
+	return nil
+}
+
+// HandleRO with the reader pool disabled serves each MsgPullRO inline on
+// the stream's goroutine, skips any other message type, returns nil on
+// a clean close, and surfaces any other receive error.
+func TestHandleROInlineSkipsAndCloses(t *testing.T) {
+	layout := keyrange.MustLayout([]int{2, 3})
+	assign, _ := keyrange.EPS(layout, 1)
+	srv, err := NewServer(transport.NewChanNetwork(4).Endpoint(transport.Server(0)), ServerConfig{
+		Rank: 0, NumWorkers: 1, Layout: layout, Assignment: assign,
+		Model: syncmodel.ASP(), ReaderPool: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &fakeROConn{in: make(chan *transport.Message, 3)}
+	conn.in <- &transport.Message{Type: transport.MsgPush, Seq: 1}
+	conn.in <- &transport.Message{Type: transport.MsgPullRO, Seq: 2}
+	close(conn.in)
+	if err := srv.HandleRO(conn); err != nil {
+		t.Fatalf("HandleRO on a clean close: %v", err)
+	}
+	if len(conn.out) != 1 || conn.out[0].Type != transport.MsgPullROResp || conn.out[0].Seq != 2 {
+		t.Fatalf("HandleRO answered %+v, want one pull_ro_resp seq 2", conn.out)
+	}
+	if !srv.roAwake.Load() {
+		t.Fatal("a HandleRO attach did not wake the read tier")
+	}
+
+	broken := &fakeROConn{in: make(chan *transport.Message), err: errors.New("conn reset")}
+	close(broken.in)
+	if err := srv.HandleRO(broken); err == nil || err.Error() != "conn reset" {
+		t.Fatalf("HandleRO on a broken conn returned %v, want the receive error", err)
 	}
 }

@@ -107,9 +107,11 @@ type ServerConfig struct {
 	// Nil disables hosting promotions (this server can still be a backup
 	// donor for key transfer and serve fenced traffic).
 	OpenEndpoint func(id transport.NodeID) (transport.Endpoint, error)
-	// SnapshotEvery is the read-tier publish cadence in V_train ticks: a
-	// new immutable parameter snapshot (kvstore.Snapshot) is published at
-	// the first apply-wave boundary after V_train has advanced this much.
+	// SnapshotEvery is the read-tier publish cadence in V_train ticks.
+	// Until the first reader appears only the boot snapshot exists; from
+	// then on a new immutable parameter snapshot (kvstore.Snapshot) is
+	// published at the first apply-wave boundary after V_train has
+	// advanced this much, and on the AdaptEvery tick whenever it moved.
 	// Zero selects 1 (every wave); negative freezes the epoch-1 boot
 	// snapshot (RO pulls still work, at unbounded staleness).
 	SnapshotEvery int
@@ -221,10 +223,13 @@ type Server struct {
 	// Read-optimized serving tier (roserver.go): roQueue feeds the reader
 	// pool, roStop ends it, lastPub is the V_train tick of the last
 	// published snapshot (owned by the apply goroutine), roServed backs
-	// ShardState.ROPulls from whichever goroutine served the pull.
+	// ShardState.ROPulls from whichever goroutine served the pull. roAwake
+	// latches for good on the first reader — a MsgPullRO on any path or a
+	// HandleRO attach; until then only the boot snapshot exists.
 	roQueue  chan roReq
 	roStop   chan struct{}
 	roWG     sync.WaitGroup
+	roAwake  atomic.Bool
 	lastPub  int
 	roServed atomic.Uint64
 
@@ -414,7 +419,8 @@ func NewServer(ep transport.Endpoint, cfg ServerConfig) (*Server, error) {
 	s.replicas = make(map[int]*replicaState)
 	// The boot snapshot (epoch 1, V_train 0) exists before Run: the RO
 	// path never has to fall back to the live shard, and HandleRO streams
-	// attached before Run still get answers.
+	// attached before Run still get answers. It is the only snapshot until
+	// the first reader wakes the tier.
 	boot := s.shard.PublishSnapshot(0)
 	s.metrics.snapshotEpoch.Set(int64(boot.Epoch))
 	if cfg.ReaderPool >= 0 {
@@ -508,6 +514,7 @@ func (s *Server) Run() error {
 				// reader pool answers them from the current snapshot, and
 				// a full pool queue sheds them right here with a
 				// retry-after instead of growing anything.
+				s.roAwake.Store(true)
 				s.submitRO(msg, s.ep)
 				continue
 			}
@@ -586,14 +593,26 @@ func (s *Server) runSerial(queue chan queuedMsg) (shutdown bool, err error) {
 			}
 			s.maybePublishSnapshot()
 		case <-tick.C:
-			if err := s.reevaluate(); err != nil {
-				return false, err
-			}
-			if err := s.replTick(); err != nil {
+			if err := s.housekeep(); err != nil {
 				return false, err
 			}
 		}
 	}
+}
+
+// housekeep is the apply loops' periodic tick, between messages or waves:
+// adaptive re-evaluation, the replication clock, and a read-tier publish
+// whenever V_train moved, so a reader arriving after training went idle
+// still gets the final parameters.
+func (s *Server) housekeep() error {
+	if err := s.reevaluate(); err != nil {
+		return err
+	}
+	if err := s.replTick(); err != nil {
+		return err
+	}
+	s.publishAfter(1)
+	return nil
 }
 
 // queuedMsg is one message in the receive→apply queue, stamped with its
@@ -667,6 +686,7 @@ func (s *Server) apply(msg *transport.Message) (shutdown bool, err error) {
 		// Reached only when the reader pool is disabled (the receive
 		// stage intercepts MsgPullRO otherwise): served inline from the
 		// current snapshot — lock-free, but serialized with training.
+		s.roAwake.Store(true)
 		err = s.handlePullRO(msg, s.ep)
 		transport.ReleaseReceived(msg)
 	case transport.MsgShutdown:
@@ -735,23 +755,30 @@ func (s *Server) handlePush(msg *transport.Message) error {
 	} else if err := s.ack(transport.MsgPushAck, msg.From, msg.Seq); err != nil {
 		return fmt.Errorf("core: server %d ack push: %w", s.cfg.Rank, err)
 	}
+	return s.releasePulls(released)
+}
+
+// releasePulls answers the pulls a push, a model switch, or an adaptive
+// decision drained from the DPR buffer.
+func (s *Server) releasePulls(released []syncmodel.Pull) error {
 	for _, rel := range released {
-		s.assertSSPStaleness(rel.Progress)
-		if err := s.releasePull(rel.Token.(pullToken)); err != nil {
+		if err := s.respondPull(s.drained(rel)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// releasePull answers a pull drained from the DPR buffer, accounting its
-// buffered time and the drain counter.
-func (s *Server) releasePull(tok pullToken) error {
+// drained accounts one pull released from the DPR buffer — the staleness
+// assertion, the drain counter, its buffered time — and returns its token.
+func (s *Server) drained(rel syncmodel.Pull) pullToken {
+	s.assertSSPStaleness(rel.Progress)
+	tok := rel.Token.(pullToken)
 	s.metrics.dprDrained.Inc()
 	if s.metrics.on && !tok.at.IsZero() {
 		s.metrics.dprWait.Observe(time.Since(tok.at))
 	}
-	return s.respondPull(tok)
+	return tok
 }
 
 // pullToken carries what the server needs to answer a delayed pull later.
@@ -765,46 +792,61 @@ type pullToken struct {
 }
 
 func (s *Server) handlePull(msg *transport.Message) error {
+	tok, answer, err := s.takePull(msg)
+	if err != nil || !answer {
+		return err // rejected, or buffered as a DPR answered by a later push
+	}
+	return s.respondPull(tok)
+}
+
+// takePull runs a pull's control logic for either apply loop: the dedup
+// window, the view fence, the pull condition. answer reports that tok is
+// owed a response now; its keys alias msg, so the caller responds before
+// msg is recycled.
+func (s *Server) takePull(msg *transport.Message) (tok pullToken, answer bool, err error) {
 	if out, dup := s.dedupLookup(msg.From, msg.Seq); dup {
 		s.dedupHits++
 		s.metrics.dedupPullHits.Inc()
-		if out == dedupPullAnswered {
-			// The earlier response was lost in flight; answering again
-			// with current parameters is safe — pulls do not mutate.
-			// (No keys copy needed: this path answers before returning.)
-			return s.respondPull(pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys})
-		}
-		// Still buffered as a DPR: the original will be answered when a
-		// push releases it; registering the duplicate would answer the
-		// worker twice and corrupt the DPR accounting.
-		return nil
+		// An answered original's response was lost in flight: answering
+		// again with current parameters is safe — pulls do not mutate. A
+		// duplicate of a buffered DPR is ignored: the original is answered
+		// on release, and registering the copy would answer the worker
+		// twice and corrupt the DPR accounting.
+		return pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys}, out == dedupPullAnswered, nil
 	}
 	if s.staleFenced(msg) {
-		return s.rejectStale(msg)
+		return pullToken{}, false, s.rejectStale(msg)
 	}
+	tok, answer = s.admitPull(msg)
+	return tok, answer, nil
+}
+
+// admitPull runs the pull condition for a fresh, unfenced pull in either
+// apply loop. A pull answered at once comes back ready, allocation-free,
+// with a token aliasing msg.Keys (answered before msg is recycled); only
+// a pull buffered as a DPR gets its keys copied and its token boxed.
+func (s *Server) admitPull(msg *transport.Message) (tok pullToken, ready bool) {
 	worker := int(msg.From.Rank)
 	progress := int(msg.Progress)
 	s.metrics.pulls.Inc()
-	keys := msg.Keys
-	if msg.ReceiverOwned() {
-		// The apply loop recycles this message as soon as the handler
-		// returns, but a buffered DPR token outlives it — take a copy.
-		// (Sender-owned messages are safe to alias: the worker holds them
-		// until its pull completes, which is after any DPR release.)
-		keys = append([]keyrange.Key(nil), keys...)
+	tok = pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys}
+	if s.ctrl.AdmitPull(worker, progress) {
+		s.assertSSPStaleness(progress)
+		s.dedupRecord(msg.From, msg.Seq, dedupPullAnswered)
+		return tok, true
 	}
-	tok := pullToken{from: msg.From, seq: msg.Seq, keys: keys}
+	if msg.ReceiverOwned() {
+		// The DPR token outlives the recycled message. (Sender-owned ones
+		// are held by the worker until after any DPR release.)
+		tok.keys = append([]keyrange.Key(nil), msg.Keys...)
+	}
 	if s.metrics.on {
 		tok.at = time.Now()
 	}
-	if s.ctrl.OnPull(worker, progress, tok) {
-		s.assertSSPStaleness(progress)
-		s.dedupRecord(msg.From, msg.Seq, dedupPullAnswered)
-		return s.respondPull(tok)
-	}
+	s.ctrl.BufferPull(worker, progress, tok)
 	s.dedupRecord(msg.From, msg.Seq, dedupPullPending)
 	s.metrics.dprBuffered.Inc()
-	return nil // buffered as a DPR; answered by a later push
+	return tok, false
 }
 
 // handleSetCond swaps the shard's synchronization model at runtime (the
@@ -839,13 +881,7 @@ func (s *Server) handleSetCond(msg *transport.Message) error {
 	// The switch already happened; an unreachable admin must not take
 	// the server down with it.
 	_ = s.ack(transport.MsgSetCondAck, msg.From, msg.Seq)
-	for _, rel := range released {
-		s.assertSSPStaleness(rel.Progress)
-		if err := s.releasePull(rel.Token.(pullToken)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.releasePulls(released)
 }
 
 // SetCondition asks a server to switch its synchronization model at

@@ -90,15 +90,6 @@ type RunResult struct {
 	Elapsed             time.Duration
 }
 
-// TotalDPRs sums delayed pull requests across all servers.
-func (r *RunResult) TotalDPRs() int {
-	total := 0
-	for _, s := range r.ServerStats {
-		total += s.DPRs
-	}
-	return total
-}
-
 // Run executes a full data-parallel training job on an in-process
 // channel network: the reference integration path exercising exactly the
 // code a real TCP deployment runs. It runs to completion; use RunContext

@@ -119,12 +119,17 @@ func (s *Server) holdForMigration(msg *transport.Message) bool {
 	if s.mig == nil && (msg.View == 0 || msg.View <= s.epoch) {
 		return false
 	}
-	for _, k := range msg.Keys {
+	return !s.holdsAll(msg.Keys)
+}
+
+// holdsAll reports whether the shard owns every key in keys.
+func (s *Server) holdsAll(keys []keyrange.Key) bool {
+	for _, k := range keys {
 		if !s.shard.Has(k) {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // holdMsg parks msg (retaining ownership) until replayHeld.
@@ -232,6 +237,15 @@ func (s *Server) installView(v *clusterview.View, admin transport.NodeID, seq ui
 	}
 	s.cfg.Assignment = v.Assignment
 	s.keys = append(s.keys[:0], s.shard.Keys()...)
+	// A DPR for keys that just left would wait forever: their pushes now
+	// go to the new owners, and a release here could not gather them.
+	// Reject it as stale-routed so the worker reissues to the new owners.
+	for _, p := range s.ctrl.Evict(func(p syncmodel.Pull) bool { return !s.holdsAll(p.Token.(pullToken).keys) }) {
+		tok := p.Token.(pullToken)
+		if err := s.rejectStale(&transport.Message{From: tok.from, Seq: tok.seq}); err != nil {
+			return err
+		}
+	}
 
 	// Arrivals: keys the new assignment gives us that we do not hold.
 	expect := make(map[keyrange.Key]struct{})

@@ -178,6 +178,9 @@ type pendingReq struct {
 	// start is the request's creation time, feeding the RTT histograms;
 	// zero when telemetry is off.
 	start time.Time
+	// total and retry are await's timeout and retransmit timers, created
+	// on first use and reused by every later wait on this pooled request.
+	total, retry *time.Timer
 	// sent is set by the pipe after the original send completes; until
 	// then the pipe may still read msg, so it must not be recycled.
 	sent atomic.Bool
@@ -433,18 +436,25 @@ func (w *Worker) newRequest(typ transport.MsgType, m int, progress int, delta []
 		}
 		msg.Vals = kvstore.GatherInto(msg.Vals[:0], w.cfg.Layout, delta, msg.Keys)
 	}
+	p := w.pooledReq(msg)
+	if w.metrics.on {
+		p.start = time.Now()
+	}
+	return p
+}
+
+// pooledReq takes a pending entry for msg from the pool; its wait timers
+// survive the reuse.
+func (w *Worker) pooledReq(msg *transport.Message) *pendingReq {
 	p, _ := w.reqPool.Get().(*pendingReq)
 	if p == nil {
 		p = &pendingReq{ch: make(chan response, 1)}
 	}
-	p.seq = seq
+	p.seq = msg.Seq
 	p.msg = msg
 	p.sent.Store(false)
 	p.discarded = false
 	p.start = time.Time{}
-	if w.metrics.on {
-		p.start = time.Now()
-	}
 	return p
 }
 
@@ -501,12 +511,15 @@ func (w *Worker) finishRequest(p *pendingReq) {
 }
 
 // viewStamp returns the epoch every outgoing request carries — zero (the
-// unfenced sentinel) in legacy static mode.
+// unfenced sentinel) in legacy static mode. It is the epoch of the view
+// whose assignment routes the request, not the newest adopted view: a
+// request stamped new but routed by the old assignment would pass the
+// fence at a server that no longer owns its keys. Owner goroutine only.
 func (w *Worker) viewStamp() uint32 {
 	if w.views == nil {
 		return 0
 	}
-	return w.views.View().EpochStamp()
+	return uint32(w.adoptedEpoch)
 }
 
 // adoptFromWire decodes and (epoch permitting) installs a view carried in
@@ -564,35 +577,35 @@ func (w *Worker) lostErr(err error) error {
 // elapses. Unanswered requests are retransmitted per the retry policy;
 // abandoned requests are removed from the waiting table.
 func (w *Worker) await(ctx context.Context, p *pendingReq) (*transport.Message, error) {
-	var totalC <-chan time.Time
+	// A non-nil channel is an armed timer whose tick was not received;
+	// the deferred idleTimer stops and drains it for its next Reset.
+	var totalC, retryC <-chan time.Time
+	defer func() {
+		if totalC != nil {
+			idleTimer(p.total)
+		}
+		if retryC != nil {
+			idleTimer(p.retry)
+		}
+	}()
 	if w.cfg.Timeout > 0 {
-		total := time.NewTimer(w.cfg.Timeout)
-		defer total.Stop()
-		totalC = total.C
+		totalC = armTimer(&p.total, w.cfg.Timeout)
 	}
 	for attempt := 0; ; attempt++ {
-		var retryC <-chan time.Time
-		var retryT *time.Timer
 		if w.cfg.Retry.enabled() {
-			retryT = time.NewTimer(w.cfg.Retry.delay(attempt))
-			retryC = retryT.C
+			retryC = armTimer(&p.retry, w.cfg.Retry.delay(attempt))
 		}
 		select {
 		case r := <-p.ch:
-			if retryT != nil {
-				retryT.Stop()
-			}
 			if r.err != nil {
 				return nil, r.err
 			}
 			return r.msg, nil
 		case <-ctx.Done():
-			if retryT != nil {
-				retryT.Stop()
-			}
 			w.forget(p)
 			return nil, fmt.Errorf("core: worker %d: %w", w.cfg.Rank, ctx.Err())
 		case <-retryC:
+			retryC = nil // received: expired with an empty channel
 			if w.cfg.Retry.MaxAttempts > 0 && attempt+1 >= w.cfg.Retry.MaxAttempts {
 				w.forget(p)
 				w.timeouts.Add(1)
@@ -609,14 +622,33 @@ func (w *Worker) await(ctx context.Context, p *pendingReq) (*transport.Message, 
 			w.metrics.retries.Inc()
 			_ = transport.SendRetained(w.ep, p.msg)
 		case <-totalC:
-			if retryT != nil {
-				retryT.Stop()
-			}
+			totalC = nil
 			w.forget(p)
 			w.timeouts.Add(1)
 			w.metrics.timeouts.Inc()
 			return nil, fmt.Errorf("core: worker %d: %w after %v", w.cfg.Rank, ErrTimeout, w.cfg.Timeout)
 		}
+	}
+}
+
+// armTimer starts *t for d, creating it on first use. An idle timer —
+// stopped and drained, or expired with its tick received — is reused.
+func armTimer(t **time.Timer, d time.Duration) <-chan time.Time {
+	if *t == nil {
+		*t = time.NewTimer(d)
+	} else {
+		(*t).Reset(d)
+	}
+	return (*t).C
+}
+
+// idleTimer stops an armed timer whose tick was not received. Under go
+// 1.22 channel-timer semantics a tick that already fired stays buffered
+// and would end the next wait early, so it is drained (Stop reporting
+// false means it is in the channel or about to land there).
+func idleTimer(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
 	}
 }
 
@@ -767,15 +799,7 @@ func (w *Worker) reissueKeys(ctx context.Context, typ transport.MsgType, progres
 		msg.View = v.EpochStamp()
 		msg.Keys = append(msg.Keys[:0], g.keys...)
 		msg.Vals = append(msg.Vals[:0], g.vals...)
-		p, _ := w.reqPool.Get().(*pendingReq)
-		if p == nil {
-			p = &pendingReq{ch: make(chan response, 1)}
-		}
-		p.seq = msg.Seq
-		p.msg = msg
-		p.sent.Store(false)
-		p.discarded = false
-		p.start = time.Time{}
+		p := w.pooledReq(msg)
 		if err := w.expect(p); err != nil {
 			transport.Release(msg)
 			return fmt.Errorf("core: worker %d reissue to server %d: %w", w.cfg.Rank, m, err)

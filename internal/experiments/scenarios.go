@@ -155,7 +155,7 @@ func scenarioFaultPlan(sc *sim.Scenario, fault string) error {
 			sc.Hazards.Churn = append(sc.Hazards.Churn, ev)
 		}
 		sc.Hazards.Straggle = []sim.StragglePhase{{
-			From: 0.15 * b, Until: 0.6 * b, Count: maxi(1, w/8), Factor: 4,
+			From: 0.15 * b, Until: 0.6 * b, Count: max(1, w/8), Factor: 4,
 		}}
 		return nil
 	case FaultKillPrimary:
@@ -408,11 +408,4 @@ func runScenarios(opts Options) (*Report, error) {
 	}
 	rep.Notef("exactly-once audit and V_train monotonicity held in %d/%d cells", audited, len(res.Cells))
 	return rep, nil
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -67,7 +67,7 @@ func runAblStaleness(opts Options) (*Report, error) {
 	rep.Tables = append(rep.Tables, table)
 	rep.Notef("s=%d → s=%d: DPRs/100 fall %s while total time falls %s — the paper's fundamental trade-off",
 		thresholds[0], thresholds[len(thresholds)-1],
-		metrics.Pct(1-float64(sHigh.DPRs)/float64(maxInt(1, sLow.DPRs))),
+		metrics.Pct(1-float64(sHigh.DPRs)/float64(max(1, sLow.DPRs))),
 		metrics.Pct(1-sHigh.TotalTime/sLow.TotalTime))
 	return rep, nil
 }

@@ -176,7 +176,7 @@ func runAblBuffer(opts Options) (*Report, error) {
 	table.AddRow("V_train (soft barrier)", fmt.Sprint(rs.DPRs), metrics.F(rs.TotalTime), metrics.F(rs.FinalAcc))
 	rep.Tables = append(rep.Tables, table)
 	rep.Notef("progress indexing cuts DPRs %dx and changes accuracy by %+.3f",
-		maxInt(1, rs.DPRs/maxInt(1, rl.DPRs)), rl.FinalAcc-rs.FinalAcc)
+		max(1, rs.DPRs/max(1, rl.DPRs)), rl.FinalAcc-rs.FinalAcc)
 	return rep, nil
 }
 
@@ -228,11 +228,4 @@ func runAblSignif(opts Options) (*Report, error) {
 	rep.Notef("significance-driven α: %d DPRs vs constant %d; accuracy %+.3f",
 		sfRes.DPRs, constRes.DPRs, sfRes.FinalAcc-constRes.FinalAcc)
 	return rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/fluentps/fluentps/internal/keyrange"
 )
@@ -170,7 +171,7 @@ func LoadStripedShard(r io.Reader, layout *keyrange.Layout, stripes int) (*Shard
 		sp.updates[k] = updates
 		s.keys = append(s.keys, k)
 	}
-	sortKeys(s.keys)
+	slices.Sort(s.keys)
 	return s, nil
 }
 

@@ -26,6 +26,7 @@ package kvstore
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,8 +52,10 @@ type Shard struct {
 	shift uint
 
 	// snap is the current published read-only snapshot (see snapshot.go);
-	// nil until the first PublishSnapshot.
-	snap atomic.Pointer[Snapshot]
+	// nil until the first PublishSnapshot. keyGen counts key-set changes,
+	// so a publish knows when the snapshot key index must be rebuilt.
+	snap   atomic.Pointer[Snapshot]
+	keyGen uint64
 }
 
 // shardStripe is one lock domain: a subset of the shard's keys with their
@@ -61,10 +64,6 @@ type shardStripe struct {
 	mu      sync.Mutex
 	data    map[keyrange.Key][]float64
 	updates map[keyrange.Key]uint64
-	// dirty marks the stripe as mutated since the last PublishSnapshot;
-	// set under mu by every mutator, read and cleared at quiescence by
-	// PublishSnapshot so copy-on-write republish touches only this stripe.
-	dirty bool
 }
 
 // stripeHash spreads dense keys across stripes (Fibonacci hashing: the
@@ -199,7 +198,6 @@ func (s *Shard) ApplyGrad(k keyrange.Key, grad []float64, scale float64) error {
 	}
 	mathx.Axpy(scale, grad, seg)
 	sp.updates[k]++
-	sp.dirty = true
 	return nil
 }
 
@@ -235,7 +233,6 @@ func (s *Shard) ApplyBatch(stripe int, scale float64, items []BatchItem) error {
 		}
 		mathx.AxpyBatch(scale, it.Grads, seg)
 		sp.updates[it.Key] += uint64(len(it.Grads))
-		sp.dirty = true
 	}
 	return nil
 }
@@ -255,7 +252,6 @@ func (s *Shard) Set(k keyrange.Key, vals []float64) error {
 		return &DimError{Op: "set", Key: k, Got: len(vals), Want: len(seg)}
 	}
 	copy(seg, vals)
-	sp.dirty = true
 	return nil
 }
 
@@ -281,9 +277,9 @@ func (s *Shard) AddKey(k keyrange.Key, vals []float64) error {
 		return &DimError{Op: "add-key", Key: k, Got: len(vals), Want: s.layout.KeySize(k)}
 	}
 	sp.data[k] = append([]float64(nil), vals...)
-	sp.dirty = true
+	s.keyGen++
 	s.keys = append(s.keys, k)
-	sortKeys(s.keys)
+	slices.Sort(s.keys)
 	return nil
 }
 
@@ -298,22 +294,11 @@ func (s *Shard) RemoveKey(k keyrange.Key) ([]float64, error) {
 	}
 	delete(sp.data, k)
 	delete(sp.updates, k)
-	sp.dirty = true
-	for i, key := range s.keys {
-		if key == k {
-			s.keys = append(s.keys[:i], s.keys[i+1:]...)
-			break
-		}
+	s.keyGen++
+	if i := slices.Index(s.keys, k); i >= 0 {
+		s.keys = slices.Delete(s.keys, i, i+1)
 	}
 	return seg, nil
-}
-
-func sortKeys(keys []keyrange.Key) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
 }
 
 // GatherInto appends the concatenation of vec's segments for keys to dst
@@ -364,12 +349,12 @@ func (s *Shard) GatherShard(dst []float64, keys []keyrange.Key) ([]float64, erro
 }
 
 // ForEachPayload walks a concatenated payload for keys, calling fn once
-// per key with that key's sub-slice of vals. It validates exactly like
-// ApplyGradPayload — out-of-layout or unowned keys and size mismatches
-// return an error before fn sees the offending key — which is what lets
-// the server's apply engine partition a push into per-stripe batches and
-// report a malformed push identically to the serial path. Requires
-// quiescence (ownership is checked without stripe locks).
+// per key with that key's sub-slice of vals. Out-of-layout or unowned
+// keys and size mismatches return an error before fn sees the offending
+// key — which is what lets the server's apply engine partition a push
+// into per-stripe batches and report a malformed push identically to
+// the serial path (ApplyGradPayload). Requires quiescence (ownership is
+// checked without stripe locks).
 func (s *Shard) ForEachPayload(keys []keyrange.Key, vals []float64, fn func(k keyrange.Key, grad []float64)) error {
 	off := 0
 	for _, k := range keys {
@@ -394,28 +379,19 @@ func (s *Shard) ForEachPayload(keys []keyrange.Key, vals []float64, fn func(k ke
 
 // ApplyGradPayload applies a concatenated gradient payload for keys with
 // the given scale — the server-side counterpart of Scatter for pushes.
-// Size mismatches (per key or whole payload) return a *DimError.
+// It validates exactly like ForEachPayload: an out-of-layout or unowned
+// key or a size mismatch (per key or whole payload) returns an error
+// before the offending key is touched.
 func (s *Shard) ApplyGradPayload(keys []keyrange.Key, vals []float64, scale float64) error {
-	off := 0
-	for _, k := range keys {
-		// Keys arrive off the wire; an out-of-layout key must be an error,
-		// not an index panic.
-		if int(k) >= s.layout.NumKeys() {
-			return unknownKey("apply-payload", k)
+	var err error
+	if ferr := s.ForEachPayload(keys, vals, func(k keyrange.Key, grad []float64) {
+		if err == nil {
+			err = s.ApplyGrad(k, grad, scale)
 		}
-		sz := s.layout.KeySize(k)
-		if off+sz > len(vals) {
-			return &DimError{Op: "apply-payload", Payload: true, Got: len(vals), Want: off + sz}
-		}
-		if err := s.ApplyGrad(k, vals[off:off+sz], scale); err != nil {
-			return err
-		}
-		off += sz
+	}); ferr != nil {
+		return ferr
 	}
-	if off != len(vals) {
-		return &DimError{Op: "apply-payload", Payload: true, Got: len(vals), Want: off}
-	}
-	return nil
+	return err
 }
 
 // ApplyDelta adds a precomputed delta to key k's segment and advances its
@@ -434,7 +410,6 @@ func (s *Shard) ApplyDelta(k keyrange.Key, delta []float64, n uint64) error {
 	}
 	mathx.Axpy(1, delta, seg)
 	sp.updates[k] += n
-	sp.dirty = true
 	return nil
 }
 
@@ -453,6 +428,5 @@ func (s *Shard) SetWithUpdates(k keyrange.Key, vals []float64, updates uint64) e
 	}
 	copy(seg, vals)
 	sp.updates[k] = updates
-	sp.dirty = true
 	return nil
 }

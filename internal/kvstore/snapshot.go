@@ -8,18 +8,13 @@
 // stripe lock, so a fan-out of read-mostly clients costs the apply path
 // nothing.
 //
-// Storage is copy-on-write at stripe granularity: each stripe carries a
-// dirty flag set (under the stripe lock) by every mutator, and
-// PublishSnapshot re-materializes only the stripes dirtied since the
-// last publish, sharing the frozen maps of clean stripes with the
-// previous snapshot. Publish cost therefore scales with the write rate
-// between publishes, not with model size.
-//
-// The full-shard payload (the concatenation of all segments in key
-// order — what a whole-model pull response carries) is materialized
-// lazily by the first reader that needs it and cached on the snapshot,
-// so the publish path stays cheap and every subsequent full pull is a
-// zero-copy alias of the cached slice.
+// Each snapshot is one contiguous array holding every segment in key
+// order — the full-shard payload itself, so Flat returns it and Get and
+// Gather slice into it. A publish is two allocations (the Snapshot and
+// its array) and one copy of the shard. The key list and key→offset
+// index are shared across epochs until the shard's key set changes.
+// When to publish is the owner's call: the server keeps only its boot
+// snapshot until a reader appears (core/roserver.go).
 //
 // Concurrency contract: PublishSnapshot has the same quiescence
 // requirement as GatherShard (no concurrent appliers — the server
@@ -27,11 +22,7 @@
 // every Snapshot method are safe from any goroutine at any time.
 package kvstore
 
-import (
-	"sync"
-
-	"github.com/fluentps/fluentps/internal/keyrange"
-)
+import "github.com/fluentps/fluentps/internal/keyrange"
 
 // Snapshot is one immutable epoch of the shard. All fields and all
 // reachable slices are frozen at publish time; readers may alias them
@@ -45,33 +36,36 @@ type Snapshot struct {
 	// the snapshot reflects exactly the waves applied up to this tick.
 	VTrain int
 
-	layout  *keyrange.Layout
-	keys    []keyrange.Key
-	stripes []map[keyrange.Key][]float64
-	shift   uint
+	idx  *snapIndex
+	vals []float64
+}
 
-	flatOnce sync.Once
-	flat     []float64
+// snapIndex locates each key's segment in a snapshot's array; epochs
+// share it until the shard's key generation moves.
+type snapIndex struct {
+	gen    uint64
+	layout *keyrange.Layout
+	keys   []keyrange.Key
+	off    map[keyrange.Key]int
+	dim    int
 }
 
 // Keys returns the snapshot's owned keys in ascending order. The slice
 // is frozen; callers must not mutate it.
-func (sn *Snapshot) Keys() []keyrange.Key { return sn.keys }
+func (sn *Snapshot) Keys() []keyrange.Key { return sn.idx.keys }
 
 // Dim returns the total number of scalars in the snapshot.
-func (sn *Snapshot) Dim() int {
-	d := 0
-	for _, k := range sn.keys {
-		d += sn.layout.KeySize(k)
-	}
-	return d
-}
+func (sn *Snapshot) Dim() int { return len(sn.vals) }
 
-// Get returns key k's frozen segment. The slice is immutable; callers
-// may alias it but must not write through it.
+// Get returns key k's frozen segment, a slice of the snapshot's array.
+// Callers may alias it but must not write through it.
 func (sn *Snapshot) Get(k keyrange.Key) ([]float64, bool) {
-	seg, ok := sn.stripes[int(stripeHash(k)>>sn.shift)][k]
-	return seg, ok
+	off, ok := sn.idx.off[k]
+	if !ok {
+		return nil, false
+	}
+	end := off + sn.idx.layout.KeySize(k)
+	return sn.vals[off:end:end], true
 }
 
 // Gather appends the snapshot's segments for keys (in the given order)
@@ -88,58 +82,56 @@ func (sn *Snapshot) Gather(dst []float64, keys []keyrange.Key) ([]float64, error
 	return dst, nil
 }
 
-// Flat returns the full-shard payload: every segment concatenated in
-// key order. It is materialized once per snapshot by the first caller
-// (off the apply path) and shared by all subsequent ones; the returned
-// slice is immutable.
-func (sn *Snapshot) Flat() []float64 {
-	sn.flatOnce.Do(func() {
-		flat := make([]float64, 0, sn.Dim())
-		for _, k := range sn.keys {
-			seg, _ := sn.Get(k)
-			flat = append(flat, seg...)
-		}
-		sn.flat = flat
-	})
-	return sn.flat
-}
+// Flat returns the full-shard payload — the snapshot's array itself,
+// every segment in key order. The slice is immutable.
+func (sn *Snapshot) Flat() []float64 { return sn.vals }
 
 // ROSnapshot returns the current published snapshot, or nil if none has
 // been published yet. Lock-free; safe from any goroutine.
 func (s *Shard) ROSnapshot() *Snapshot { return s.snap.Load() }
 
-// PublishSnapshot freezes the shard's current state as the next epoch
-// and installs it with one atomic pointer swap. Only stripes dirtied
-// since the previous publish are re-materialized; clean stripes share
-// the previous snapshot's frozen maps. Requires quiescence (no
-// concurrent appliers), like GatherShard.
+// KeysChangedSincePublish reports whether the shard's key set moved
+// (AddKey/RemoveKey) since the current snapshot was cut, or nothing was
+// published yet. Requires quiescence, like PublishSnapshot.
+func (s *Shard) KeysChangedSincePublish() bool {
+	sn := s.snap.Load()
+	return sn == nil || sn.idx.gen != s.keyGen
+}
+
+// PublishSnapshot copies the shard's segments into a fresh array as the
+// next epoch and installs it with one atomic pointer swap. Requires
+// quiescence (no concurrent appliers), like GatherShard.
 func (s *Shard) PublishSnapshot(vtrain int) *Snapshot {
 	prev := s.snap.Load()
-	sn := &Snapshot{
-		VTrain:  vtrain,
-		layout:  s.layout,
-		keys:    append([]keyrange.Key(nil), s.keys...),
-		stripes: make([]map[keyrange.Key][]float64, len(s.stripes)),
-		shift:   s.shift,
-	}
-	if prev == nil {
-		sn.Epoch = 1
-	} else {
+	sn := &Snapshot{Epoch: 1, VTrain: vtrain}
+	if prev != nil {
 		sn.Epoch = prev.Epoch + 1
 	}
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		if prev != nil && !sp.dirty {
-			sn.stripes[i] = prev.stripes[i]
-			continue
-		}
-		frozen := make(map[keyrange.Key][]float64, len(sp.data))
-		for k, seg := range sp.data {
-			frozen[k] = append([]float64(nil), seg...)
-		}
-		sn.stripes[i] = frozen
-		sp.dirty = false
+	if prev != nil && prev.idx.gen == s.keyGen {
+		sn.idx = prev.idx
+	} else {
+		sn.idx = s.buildSnapIndex()
+	}
+	sn.vals = make([]float64, sn.idx.dim)
+	off := 0
+	for _, k := range sn.idx.keys {
+		off += copy(sn.vals[off:], s.stripeFor(k).data[k])
 	}
 	s.snap.Store(sn)
 	return sn
+}
+
+// buildSnapIndex lays the shard's current keys out back to back.
+func (s *Shard) buildSnapIndex() *snapIndex {
+	idx := &snapIndex{
+		gen:    s.keyGen,
+		layout: s.layout,
+		keys:   append([]keyrange.Key(nil), s.keys...),
+		off:    make(map[keyrange.Key]int, len(s.keys)),
+	}
+	for _, k := range idx.keys {
+		idx.off[k] = idx.dim
+		idx.dim += s.layout.KeySize(k)
+	}
+	return idx
 }

@@ -2,10 +2,10 @@ package kvstore
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/fluentps/fluentps/internal/keyrange"
 )
@@ -80,36 +80,67 @@ func TestSnapshotImmuneToLaterWrites(t *testing.T) {
 	}
 }
 
-// Copy-on-write at stripe granularity: a publish after writes to one
-// stripe shares every clean stripe's frozen map with the previous
-// snapshot and re-materializes only the dirty one.
-func TestSnapshotCopyOnWriteSharesCleanStripes(t *testing.T) {
-	layout := stripedLayout(t, 64, 2)
-	s := NewStripedShard(layout, allKeys(layout), nil, 8)
+// One array per epoch: Flat and Get alias the same frozen array, a
+// publish never aliases live shard storage, and an unchanged key set
+// reuses the previous epoch's key index (a key-set change rebuilds it).
+func TestSnapshotSingleArrayLayout(t *testing.T) {
+	layout := stripedLayout(t, 16, 3)
+	keys := allKeys(layout)
+	s := NewStripedShard(layout, keys[:12], nil, 4)
 
 	sn1 := s.PublishSnapshot(0)
-	k := s.Keys()[0]
-	dirtyStripe := s.StripeOf(k)
-	if err := s.ApplyGrad(k, []float64{1, 1}, 1); err != nil {
+	flat := sn1.Flat()
+	if len(flat) != sn1.Dim() || len(flat) != 36 {
+		t.Fatalf("Flat has %d scalars, Dim %d, want 36", len(flat), sn1.Dim())
+	}
+	lo, hi := &flat[0], &flat[len(flat)-1]
+	inFlat := func(p *float64) bool {
+		return uintptr(unsafe.Pointer(p)) >= uintptr(unsafe.Pointer(lo)) &&
+			uintptr(unsafe.Pointer(p)) <= uintptr(unsafe.Pointer(hi))
+	}
+	for i, k := range sn1.Keys() {
+		seg, ok := sn1.Get(k)
+		if !ok {
+			t.Fatalf("key %d missing", k)
+		}
+		if &seg[0] != &flat[3*i] {
+			t.Fatalf("Get(%d) does not alias Flat at offset %d", k, 3*i)
+		}
+		if cap(seg) != len(seg) {
+			t.Fatalf("Get(%d) has spare capacity %d: an append would write into the next segment", k, cap(seg))
+		}
+		live, err := s.Segment(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inFlat(&live[0]) || inFlat(&live[len(live)-1]) {
+			t.Fatalf("snapshot array aliases key %d's live segment", k)
+		}
+	}
+
+	if err := s.ApplyGrad(keys[0], []float64{1, 1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	sn2 := s.PublishSnapshot(1)
-
-	for i := 0; i < s.NumStripes(); i++ {
-		shared := reflect.ValueOf(sn1.stripes[i]).Pointer() == reflect.ValueOf(sn2.stripes[i]).Pointer()
-		if i == dirtyStripe && shared {
-			t.Fatalf("dirty stripe %d shared with the previous snapshot", i)
-		}
-		if i != dirtyStripe && !shared {
-			t.Fatalf("clean stripe %d re-materialized (copy-on-write regression)", i)
-		}
+	if sn2.idx != sn1.idx || &sn2.Keys()[0] != &sn1.Keys()[0] {
+		t.Fatal("publish with an unchanged key set rebuilt the key index")
 	}
-	// The dirty flag reset: an immediate re-publish shares everything.
+	if &sn2.Flat()[0] == &flat[0] {
+		t.Fatal("publish reused the previous epoch's array")
+	}
+
+	if err := s.AddKey(keys[13], []float64{2, 2, 2}); err != nil {
+		t.Fatal(err)
+	}
 	sn3 := s.PublishSnapshot(2)
-	for i := 0; i < s.NumStripes(); i++ {
-		if reflect.ValueOf(sn2.stripes[i]).Pointer() != reflect.ValueOf(sn3.stripes[i]).Pointer() {
-			t.Fatalf("stripe %d re-materialized with no writes since the last publish", i)
-		}
+	if sn3.idx == sn2.idx || len(sn3.Keys()) != 13 || sn3.Dim() != 39 {
+		t.Fatalf("key-set change kept the old index: %d keys, dim %d", len(sn3.Keys()), sn3.Dim())
+	}
+	if seg, _ := sn3.Get(keys[13]); seg[0] != 2 {
+		t.Fatalf("added key reads %v, want 2", seg)
+	}
+	if len(sn2.Keys()) != 12 {
+		t.Fatal("a key-set change rewrote the previous epoch's key list")
 	}
 }
 

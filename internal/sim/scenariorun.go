@@ -1234,10 +1234,3 @@ func sortedKeys(m map[int]bool) []int {
 	sort.Ints(out)
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

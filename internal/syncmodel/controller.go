@@ -320,6 +320,17 @@ func (c *Controller) observe(worker, progress int) {
 // (the caller responds with current parameters now) or buffers the request
 // as a DPR to be released by a later OnPush.
 func (c *Controller) OnPull(worker, progress int, token any) (ready bool) {
+	if c.AdmitPull(worker, progress) {
+		return true
+	}
+	c.BufferPull(worker, progress, token)
+	return false
+}
+
+// AdmitPull is OnPull without the buffering, for callers whose token is
+// costly to build: on false the pull is counted as a DPR and the caller
+// must pass its token to BufferPull before any other controller call.
+func (c *Controller) AdmitPull(worker, progress int) bool {
 	c.observe(worker, progress)
 	c.stats.Pulls++
 	if c.model.Pull(c, worker, progress) {
@@ -328,12 +339,17 @@ func (c *Controller) OnPull(worker, progress int, token any) (ready bool) {
 	}
 	c.stats.DPRs++
 	c.dprPerRound[c.vtrain]++
+	return false
+}
+
+// BufferPull parks a pull AdmitPull rejected in the DPR buffer, to be
+// released by a later OnPush.
+func (c *Controller) BufferPull(worker, progress int, token any) {
 	idx := progress
 	if c.drain == SoftBarrier {
 		idx = c.vtrain
 	}
 	c.buffer[idx] = append(c.buffer[idx], Pull{Worker: worker, Progress: progress, Token: token})
-	return false
 }
 
 // OnPush handles Algorithm 1's PushHandler. It returns apply=false when a
@@ -419,12 +435,28 @@ func (c *Controller) Depart(worker int) (dropped, released []Pull) {
 	}
 	c.active[worker] = false
 	c.activeN--
+	dropped = c.Evict(func(p Pull) bool { return p.Worker == worker })
+	// The quorum just shrank: a round that was one push short of closing
+	// may now satisfy the push condition. Never advance on an empty
+	// membership — "0 of 0 pushed" must not spin the clock forever.
+	if c.activeN > 0 {
+		for c.model.Push(c) {
+			released = append(released, c.advanceRound()...)
+		}
+	}
+	return dropped, released
+}
+
+// Evict removes and returns, in buffer order, the buffered pulls drop
+// selects — DPRs the caller will answer some other way. V_train and the
+// statistics are untouched: the pulls were counted when buffered.
+func (c *Controller) Evict(drop func(Pull) bool) (evicted []Pull) {
 	for _, idx := range c.bufferRounds() {
 		ps := c.buffer[idx]
 		kept := ps[:0]
 		for _, p := range ps {
-			if p.Worker == worker {
-				dropped = append(dropped, p)
+			if drop(p) {
+				evicted = append(evicted, p)
 			} else {
 				kept = append(kept, p)
 			}
@@ -435,15 +467,7 @@ func (c *Controller) Depart(worker int) (dropped, released []Pull) {
 			c.buffer[idx] = kept
 		}
 	}
-	// The quorum just shrank: a round that was one push short of closing
-	// may now satisfy the push condition. Never advance on an empty
-	// membership — "0 of 0 pushed" must not spin the clock forever.
-	if c.activeN > 0 {
-		for c.model.Push(c) {
-			released = append(released, c.advanceRound()...)
-		}
-	}
-	return dropped, released
+	return evicted
 }
 
 // Rejoin re-admits worker n to the active membership and returns the
