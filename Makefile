@@ -87,16 +87,17 @@ race-stress:
 ## mid-training, its backup is promoted, and the exact-sum audit proves
 ## no update was lost or double-applied across the failover; the
 ## join/drain tests stream keys through view transitions while workers
-## keep training.
+## keep training. -cpu=1,2 replays held traffic through both the inline
+## (GOMAXPROCS 1) and the pooled (GOMAXPROCS 2) apply engine.
 race-failover:
-	$(GO) test -race -count=5 -timeout 600s \
+	$(GO) test -race -count=5 -cpu=1,2 -timeout 600s \
 		-run 'TestFailoverKillServer|TestViewFencingRejectsStaleEpoch|TestLiveJoinServesDuringTransfer|TestDrainMovesKeysWithoutStopping' \
 		./internal/core/
 
 ## fuzz: a short codec fuzz pass over every wire format — the message
 ## codec and framer, the mux stream-frame layer, the cluster-view codec,
-## the replication-wave frame, and the stats/spec payloads (seed corpora
-## cover v1/v2 ShardState and legacy 3-value Spec frames).
+## the replication-wave frame, and the stats/spec payloads (one wire
+## format each; the seed corpora include wrong-length frames).
 fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s
@@ -120,7 +121,7 @@ fuzz-smoke:
 ## determinism: the bit-identical replay properties, repeated under the
 ## race detector — the scenario simulator (same spec + seed ⇒ identical
 ## Result, whatever hazards fire) and the apply engine (same workload ⇒
-## identical parameters whatever ApplyWorkers is set to).
+## the closed-form parameters whatever ApplyWorkers is set to).
 determinism:
 	$(GO) test -race -count=5 -run 'TestScenarioDeterminism' ./internal/sim/
 	$(GO) test -race -count=5 -run 'TestApplyWorkersDeterminism' ./internal/core/
@@ -188,9 +189,9 @@ ci: verify
 ## BENCH_telemetry.json isolates the telemetry overhead: the same
 ## push/pull step with a live registry vs the Nop sink vs no telemetry,
 ## plus the per-instrument costs (counter add, histogram observe).
-## BENCH_apply.json contrasts push-apply throughput with the serial apply
-## loop (ApplyWorkers=1) against the wave-batched engine (ApplyWorkers=4)
-## — the batched path must hold a ≥2x edge on large segments.
+## BENCH_apply.json contrasts the apply engine's push-apply throughput
+## with waves applied inline (ApplyWorkers=1) against a pool of four
+## stripe appliers (ApplyWorkers=4).
 ## BENCH_adaptive.json records the adaptive-vs-fixed regret sweep: for each
 ## heterogeneous trace, the timed regret and throughput of Adaptive against
 ## every fixed preset (BSP, ASP, SSP(s) swept) plus the hindsight-best ratio.

@@ -172,8 +172,12 @@ func (v *View) Clone() *View {
 // WithJoined returns the next view after a new server at addr joins: one
 // more active rank, keys rebalanced onto it move-minimally
 // (keyrange.ScaleUp — existing servers only lose keys). The new member's
-// rank is returned.
+// rank is returned. A layout over a different key space than the view's
+// assignment is refused.
 func (v *View) WithJoined(addr string, layout *keyrange.Layout) (*View, int, error) {
+	if err := v.Validate(layout); err != nil {
+		return nil, 0, err
+	}
 	next := v.Clone()
 	rank := len(next.Servers)
 	next.Servers = append(next.Servers, Member{ID: transport.Server(rank), Addr: addr, Host: rank})
@@ -188,10 +192,14 @@ func (v *View) WithJoined(addr string, layout *keyrange.Layout) (*View, int, err
 
 // WithDrained returns the next view after server rank leaves gracefully:
 // its keys rebalanced move-minimally onto the remaining active servers
-// (keyrange.Rebalance), the member marked down.
+// (keyrange.Rebalance), the member marked down. A layout over a different
+// key space than the view's assignment is refused.
 func (v *View) WithDrained(rank int, layout *keyrange.Layout) (*View, error) {
 	if rank < 0 || rank >= len(v.Servers) || v.Servers[rank].State != Active {
 		return nil, fmt.Errorf("clusterview: cannot drain rank %d", rank)
+	}
+	if err := v.Validate(layout); err != nil {
+		return nil, err
 	}
 	alive := make([]bool, len(v.Servers))
 	active := 0

@@ -177,30 +177,27 @@ func TestAdaptiveServerSwitchesAtRuntime(t *testing.T) {
 	}
 }
 
-// TestShardStateDecodeV1: an 11-value pre-adaptive ShardState payload must
-// still decode (zero model fields), and the current encoding must round-trip
-// the new fields.
-func TestShardStateDecodeV1(t *testing.T) {
-	v1 := []float64{3, 1, 4, 2, 1, 10, 9, 2, 1, 1, 5}
-	st, err := decodeShardState(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Keys != 5 || st.VTrain != 3 || st.ModelKind != 0 || st.Switches != 0 {
-		t.Fatalf("v1 payload decoded to %+v", st)
-	}
-
+// TestShardStateRoundTrip: the stats payload round-trips every field,
+// and payloads of any other length — the retired 11- and 17-value
+// layouts included — are rejected.
+func TestShardStateRoundTrip(t *testing.T) {
 	want := ShardState{
 		Keys: 5, VTrain: 3, MinProgress: 1, MaxProgress: 4, CountAtRound: 2,
 		Buffered: 1, Pulls: 10, Pushes: 9, DPRs: 2, Dropped: 1, DedupHits: 1,
 		ModelKind: int(syncmodel.KindDSPS), ModelS: 2, ModelMin: 1, ModelMax: 8,
-		ModelC: 0, Switches: 3,
+		ModelC: 0, Switches: 3, SnapshotEpoch: 7, ROPulls: 40,
 	}
-	got, err := decodeShardState(want.encode(nil))
+	enc := want.encode(nil)
+	got, err := decodeShardState(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("v2 round trip %+v → %+v", want, got)
+		t.Errorf("round trip %+v → %+v", want, got)
+	}
+	for _, n := range []int{11, 17} {
+		if _, err := decodeShardState(enc[:n]); err == nil {
+			t.Errorf("%d-value payload accepted", n)
+		}
 	}
 }

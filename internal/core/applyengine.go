@@ -11,44 +11,43 @@ import (
 	"github.com/fluentps/fluentps/internal/transport"
 )
 
-// The parallel apply engine (ApplyWorkers > 1). The serial apply loop
-// handles one message at a time: controller decision, gradient
-// application, acknowledgement, each fully ordered. The engine keeps the
-// ordered part — the synchronization controller, the dedup windows, and
-// the DPR buffer remain single-owner state touched only by the control
-// goroutine — and parallelizes the part that commutes: applying gradient
-// batches to independently locked shard stripes.
+// The apply engine: the server's one apply loop. The control goroutine
+// keeps everything ordered — the synchronization controller, the dedup
+// windows, and the DPR buffer are single-owner state touched only by it —
+// and the part that commutes, applying gradient batches to independently
+// locked shard stripes, runs inline (ApplyWorkers ≤ 1) or on a worker
+// pool.
 //
 // Messages are drained from the receive queue in *waves*: as many
 // consecutive pushes and pulls as are already waiting (up to
 // maxWaveMsgs), stopping at the first message of any other type (a
-// barrier — set-cond, rebalance, migrate, stats, shutdown — which is
-// handled by the serial dispatcher against a quiescent shard). For each
-// staged message the control goroutine runs exactly the serial handler's
-// control logic in arrival order; what the serial handler would do to the
-// shard is instead accumulated into per-stripe batches, with gradients
-// for the same key coalesced into one fused mathx.AxpyBatch application.
-// The wave then flushes: dirty stripes are dispatched to the worker pool
-// over a buffered task channel, the control goroutine blocks on the
-// completion channel until every stripe reports back (this is also the
-// quiescence barrier structural shard operations rely on), and only then
-// do the wave's deferred effects — push acks, pull responses, DPR
-// releases — go out, so every response still observes the parameters it
-// would have observed under some legal serial arrival order:
+// barrier — set-cond, view, migrate, stats, shutdown — which is handled
+// against a quiescent shard after the wave flushed). Each staged message
+// runs its control logic (Algorithm 1's push and pull conditions) in
+// arrival order; its effect on the shard is instead accumulated into
+// per-stripe batches, with gradients for the same key coalesced into one
+// fused mathx.AxpyBatch application. The wave then flushes: dirty stripes
+// are applied (inline, or dispatched to the pool over a buffered task
+// channel while the control goroutine blocks on the completion channel
+// until every stripe reports back — also the quiescence barrier
+// structural shard operations rely on), and only then do the wave's
+// deferred effects — push acks, pull responses, DPR releases — go out, so
+// every response observes the parameters of some legal one-at-a-time
+// arrival order:
 //
 //   - A worker has at most one request outstanding, so deferring its
 //     response cannot reorder that worker's requests; per-peer FIFO (which
 //     the dedup windows rely on) is preserved.
 //   - Pull responses sent after the wave's applies may reflect *more*
-//     pushes than under the actual arrival interleaving — the same states
-//     the serial loop produces when those pushes happen to arrive first.
-//     (Algorithm 1's apply-before-answer, line 15 before lines 18–20, is
-//     kept: never fewer pushes.)
+//     pushes than the actual arrival interleaving — the states a
+//     one-at-a-time loop produces when those pushes happen to arrive
+//     first. (Algorithm 1's apply-before-answer, line 15 before lines
+//     18–20, is kept: never fewer pushes.)
 //
-// With one CPU the pool degenerates to one busy worker, but the wave
-// batching still pays: one segment read-modify-write, one map lookup, one
-// lock acquisition, and one stats snapshot per key per wave instead of
-// per push. True stripe parallelism stacks on top on multicore.
+// Even inline, the wave batching pays: one segment read-modify-write, one
+// map lookup, one lock acquisition, and one stats snapshot per key per
+// wave instead of per push. Stripe parallelism stacks on top on
+// multicore.
 
 // maxWaveMsgs caps how many pushes/pulls one wave stages before flushing,
 // bounding deferred-ack latency and the staging buffers.
@@ -132,9 +131,11 @@ func (s *Server) newApplyEngine(workers int) *applyEngine {
 		stamp:   make([]uint32, s.cfg.Layout.NumKeys()),
 		wave:    1,
 	}
-	for i := 0; i < workers; i++ {
-		e.wg.Add(1)
-		go e.worker()
+	if workers > 1 {
+		for i := 0; i < workers; i++ {
+			e.wg.Add(1)
+			go e.worker()
+		}
 	}
 	return e
 }
@@ -151,16 +152,17 @@ func (e *applyEngine) worker() {
 	}
 }
 
-// stop drains the pool. Callers must not stop mid-wave (runBatched
-// flushes or resets before returning).
+// stop releases whatever a failed wave left staged and drains the pool.
 func (e *applyEngine) stop() {
+	e.reset()
 	close(e.tasks)
 	e.wg.Wait()
 }
 
-// runBatched is Run's apply stage when ApplyWorkers > 1.
-func (s *Server) runBatched(queue chan queuedMsg, workers int) (shutdown bool, err error) {
-	e := s.newApplyEngine(workers)
+// runBatched is Run's apply stage.
+func (s *Server) runBatched(queue chan queuedMsg) (shutdown bool, err error) {
+	e := s.newApplyEngine(s.cfg.applyWorkers())
+	s.eng = e
 	defer e.stop()
 	if s.metrics.on {
 		s.cfg.Telemetry.GaugeFunc("server.apply_stripe_queue_depth", func() int64 {
@@ -194,24 +196,12 @@ func (s *Server) runBatched(queue chan queuedMsg, workers int) (shutdown bool, e
 			if s.metrics.on {
 				s.metrics.applyWait.Observe(time.Since(q.at))
 			}
-			switch q.msg.Type {
-			case transport.MsgPush:
-				if s.holdForMigration(q.msg) {
-					s.holdMsg(q.msg)
-				} else if err := e.stagePush(q.msg); err != nil {
-					e.reset()
-					return false, err
-				}
-			case transport.MsgPull:
-				if s.holdForMigration(q.msg) {
-					s.holdMsg(q.msg)
-				} else if err := e.stagePull(q.msg); err != nil {
-					e.reset()
-					return false, err
-				}
-			default:
+			if t := q.msg.Type; t != transport.MsgPush && t != transport.MsgPull {
 				barrier = q.msg
 				break drain
+			}
+			if _, err := s.apply(q.msg); err != nil {
+				return false, err
 			}
 			if len(e.msgs) >= maxWaveMsgs {
 				break drain
@@ -247,13 +237,17 @@ func (s *Server) runBatched(queue chan queuedMsg, workers int) (shutdown bool, e
 	}
 }
 
-// stagePush runs handlePush's control logic and stages the gradient
-// payload into per-stripe batches instead of applying it. Ownership of
-// msg passes to the engine (released at wave end).
+// stagePush runs a push's control logic and stages the gradient payload
+// into per-stripe batches instead of applying it. Ownership of msg passes
+// to the engine (released at wave end).
 func (e *applyEngine) stagePush(msg *transport.Message) error {
 	s := e.s
 	e.msgs = append(e.msgs, msg)
 	if _, dup := s.dedupLookup(msg.From, msg.Seq); dup {
+		// A retransmission (or a duplicated frame) of a push already
+		// consumed: re-ack so the retrying worker unblocks, but never
+		// re-apply the gradient — at-least-once delivery plus this window
+		// yields effectively-once application.
 		s.dedupHits++
 		s.metrics.dedupPushHits.Inc()
 		e.acts = append(e.acts, pendingAct{kind: actPushAck, to: msg.From, seq: msg.Seq})
@@ -272,6 +266,8 @@ func (e *applyEngine) stagePush(msg *transport.Message) error {
 	apply, released := s.ctrl.OnPush(worker, progress)
 	s.assertDrainImpliesAdvance(len(released), advancesBefore)
 	if apply {
+		// Algorithm 1 line 15 (w ← w + g/N), applied when the wave flushes,
+		// before any of the wave's pulls are answered.
 		if err := s.shard.ForEachPayload(msg.Keys, msg.Vals, e.stageGrad); err != nil {
 			return fmt.Errorf("core: server %d apply push from %s: %w", s.cfg.Rank, msg.From, err)
 		}
@@ -279,6 +275,8 @@ func (e *applyEngine) stagePush(msg *transport.Message) error {
 	} else {
 		s.metrics.pushesDropped.Inc()
 	}
+	// A dropped push is consumed too: its duplicate must not be offered
+	// to the controller a second time.
 	s.dedupRecord(msg.From, msg.Seq, dedupPushDone)
 	e.pairs = append(e.pairs, dedupPair{from: msg.From, seq: msg.Seq})
 	e.acts = append(e.acts, pendingAct{kind: actPushAck, to: msg.From, seq: msg.Seq})
@@ -317,16 +315,15 @@ func (e *applyEngine) stageGrad(k keyrange.Key, grad []float64) {
 	e.stamp[k] = e.wave
 }
 
-// stagePull runs handlePull's control logic; an immediate answer becomes
-// a deferred act so it observes the wave's applies. Ownership of msg
-// passes to the engine, which releases it after the acts run.
-func (e *applyEngine) stagePull(msg *transport.Message) error {
+// stagePull takes ownership of a pull whose control logic (takePull)
+// already ran; an immediate answer becomes a deferred act so it observes
+// the wave's applies. The engine releases msg after the acts run (tok's
+// keys alias it).
+func (e *applyEngine) stagePull(msg *transport.Message, tok pullToken, answer bool) {
 	e.msgs = append(e.msgs, msg)
-	tok, answer, err := e.s.takePull(msg)
 	if answer {
 		e.acts = append(e.acts, pendingAct{kind: actPullResp, tok: tok})
 	}
-	return err
 }
 
 // flush applies the wave's dirty stripes, then executes the deferred

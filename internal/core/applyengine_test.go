@@ -10,10 +10,10 @@ import (
 	"github.com/fluentps/fluentps/internal/transport"
 )
 
-// Tests for the wave-batched parallel apply engine (applyengine.go).
-// Serial-path behaviour is covered by the rest of the package; everything
-// here forces ApplyWorkers > 1 so the engine runs even though the test
-// host may have GOMAXPROCS=1.
+// Tests for the wave-batched apply engine's worker pool
+// (applyengine.go). Inline apply (ApplyWorkers = 1) is covered by the
+// rest of the package; everything here forces ApplyWorkers > 1 so the
+// pool runs even though the test host may have GOMAXPROCS=1.
 
 // batchedServer is testServer with explicit apply-engine knobs and a
 // configurable layout.
@@ -50,7 +50,7 @@ func batchedServer(t *testing.T, model syncmodel.Model, workers, applyWorkers, a
 func TestApplyConfigResolution(t *testing.T) {
 	cases := []struct {
 		cfg         ServerConfig
-		wantWorkers bool // > 1 selects the engine
+		wantPool    bool // > 1 starts the engine's pool; 1 applies inline
 		wantStripes int  // 0 = don't check
 	}{
 		{ServerConfig{ApplyWorkers: 1}, false, 1},
@@ -60,8 +60,8 @@ func TestApplyConfigResolution(t *testing.T) {
 		{ServerConfig{ApplyWorkers: 1, ApplyStripes: 8}, false, 8},
 	}
 	for i, c := range cases {
-		if got := c.cfg.applyWorkers() > 1; got != c.wantWorkers {
-			t.Errorf("case %d: applyWorkers()=%d, engine=%v, want %v", i, c.cfg.applyWorkers(), got, c.wantWorkers)
+		if got := c.cfg.applyWorkers() > 1; got != c.wantPool {
+			t.Errorf("case %d: applyWorkers()=%d, pool=%v, want %v", i, c.cfg.applyWorkers(), got, c.wantPool)
 		}
 		if c.wantStripes != 0 && c.cfg.applyStripes() != c.wantStripes {
 			t.Errorf("case %d: applyStripes()=%d, want %d", i, c.cfg.applyStripes(), c.wantStripes)

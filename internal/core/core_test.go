@@ -18,7 +18,7 @@ func testServer(t *testing.T, model syncmodel.Model, drain syncmodel.DrainPolicy
 }
 
 // testServerApply is testServer with an explicit ApplyWorkers, for tests
-// that must cover the serial (1) and batched (>1) apply loops whatever
+// that must cover the engine's inline (1) and pool (>1) apply whatever
 // the machine's GOMAXPROCS.
 func testServerApply(t *testing.T, model syncmodel.Model, drain syncmodel.DrainPolicy, workers, applyWorkers int) (*transport.ChanNetwork, *Server, *keyrange.Layout, *keyrange.Assignment) {
 	t.Helper()

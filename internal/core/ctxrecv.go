@@ -10,12 +10,12 @@ import (
 //
 // transport.Endpoint.Recv is the blocking primitive and cannot carry a
 // context without breaking every implementation, so control-plane APIs
-// (Register, QueryStats, Rebalance, SetCondition, the scheduler loop)
-// wrap it here: the Recv runs in its own goroutine and the caller waits
-// on whichever of {response, ctx.Done()} fires first. On cancellation
-// the in-flight Recv keeps running until the endpoint delivers or
-// closes; a drain goroutine releases its late message so the pool
-// ownership discipline holds even for abandoned receives.
+// (Register, QueryStats, SetCondition, the view operations, the
+// scheduler loop) wrap it here: the Recv runs in its own goroutine and
+// the caller waits on whichever of {response, ctx.Done()} fires first.
+// On cancellation the in-flight Recv keeps running until the endpoint
+// delivers or closes; a drain goroutine releases its late message so the
+// pool ownership discipline holds even for abandoned receives.
 func recvCtx(ctx context.Context, ep transport.Endpoint) (*transport.Message, error) {
 	type recvResult struct {
 		msg *transport.Message

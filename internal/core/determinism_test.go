@@ -13,13 +13,14 @@ import (
 // seed must produce bit-identical parameters regardless of the apply
 // stage's parallelism. Gradients are integer-valued and the 1/N scale is
 // a power of two, so exact float arithmetic makes the sum
-// order-independent — any difference between ApplyWorkers settings is a
-// lost, duplicated, or torn update, never "just float noise". The
-// Makefile runs this under -race -count=5.
+// order-independent — the result must equal the closed form w0 + Σδ/N
+// exactly, and any difference is a lost, duplicated, or torn update,
+// never "just float noise". The Makefile runs this under -race -count=5.
 
 // applyWorkload runs a fixed seeded push schedule against a fresh server
-// with the given apply parallelism and returns the final parameters.
-func applyWorkload(t *testing.T, applyWorkers int) []float64 {
+// (w0 = 0) with the given apply parallelism and returns the final
+// parameters and the closed-form Σδ/N they must equal.
+func applyWorkload(t *testing.T, applyWorkers int) (got, want []float64) {
 	t.Helper()
 	const (
 		nWorkers = 4
@@ -32,12 +33,14 @@ func applyWorkload(t *testing.T, applyWorkers int) []float64 {
 	// generation order cannot depend on goroutine scheduling.
 	rng := rand.New(rand.NewSource(41))
 	deltas := make([][][]float64, nWorkers)
+	want = make([]float64, layout.TotalDim())
 	for rank := range deltas {
 		deltas[rank] = make([][]float64, rounds)
 		for r := range deltas[rank] {
 			d := make([]float64, layout.TotalDim())
 			for i := range d {
 				d[i] = float64(nWorkers * (rng.Intn(17) - 8)) // ÷N stays integral
+				want[i] += d[i] / nWorkers
 			}
 			deltas[rank][r] = d
 		}
@@ -71,27 +74,26 @@ func applyWorkload(t *testing.T, applyWorkers int) []float64 {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	params := make([]float64, layout.TotalDim())
-	if err := pullers[0].SPull(tctx, rounds, params); err != nil {
+	got = make([]float64, layout.TotalDim())
+	if err := pullers[0].SPull(tctx, rounds, got); err != nil {
 		t.Fatal(err)
 	}
-	return params
+	return got, want
 }
 
-// TestApplyWorkersDeterminism: serial loop, the engine at 4 workers, and
-// the engine at 2 workers with a different stripe interleaving must all
-// land on bit-identical parameters for the same seeded workload.
+// TestApplyWorkersDeterminism: the inline engine (1 worker) and pools of
+// 2 and 4 workers, each with its own stripe interleaving, must all land
+// bit-identically on the closed-form result of the seeded workload.
 func TestApplyWorkersDeterminism(t *testing.T) {
-	serial := applyWorkload(t, 1)
-	for _, workers := range []int{2, 4} {
-		got := applyWorkload(t, workers)
-		if len(got) != len(serial) {
-			t.Fatalf("ApplyWorkers=%d: %d params, want %d", workers, len(got), len(serial))
+	for _, workers := range []int{1, 2, 4} {
+		got, want := applyWorkload(t, workers)
+		if len(got) != len(want) {
+			t.Fatalf("ApplyWorkers=%d: %d params, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("ApplyWorkers=%d: param[%d] = %v, serial = %v — apply order leaked into the result",
-					workers, i, got[i], serial[i])
+			if got[i] != want[i] {
+				t.Fatalf("ApplyWorkers=%d: param[%d] = %v, closed form w0+Σδ/N = %v — an update was lost, duplicated, or torn",
+					workers, i, got[i], want[i])
 			}
 		}
 	}

@@ -62,13 +62,8 @@ func (st ShardState) Model() string {
 	return spec.Kind.String()
 }
 
-// Payload lengths of the stats response: v1 predates the model fields,
-// v2 the read-tier fields.
-const (
-	shardStateLenV1 = 11
-	shardStateLenV2 = 17
-	shardStateLen   = 19
-)
+// shardStateLen is the stats response's payload length.
+const shardStateLen = 19
 
 // encode packs the state for the wire, appending to dst (pass a pooled
 // message's Vals[:0] to avoid allocation).
@@ -85,38 +80,30 @@ func (st ShardState) encode(dst []float64) []float64 {
 }
 
 func decodeShardState(vals []float64) (ShardState, error) {
-	// v1 (11-value) and v2 (17-value) payloads from older servers still
-	// decode; the fields they predate stay zero.
-	if len(vals) != shardStateLen && len(vals) != shardStateLenV2 && len(vals) != shardStateLenV1 {
-		return ShardState{}, fmt.Errorf("core: stats payload has %d values, want %d (or legacy %d/%d)",
-			len(vals), shardStateLen, shardStateLenV2, shardStateLenV1)
+	if len(vals) != shardStateLen {
+		return ShardState{}, fmt.Errorf("core: stats payload has %d values, want %d", len(vals), shardStateLen)
 	}
-	st := ShardState{
-		VTrain:       int(vals[0]),
-		MinProgress:  int(vals[1]),
-		MaxProgress:  int(vals[2]),
-		CountAtRound: int(vals[3]),
-		Buffered:     int(vals[4]),
-		Pulls:        int(vals[5]),
-		Pushes:       int(vals[6]),
-		DPRs:         int(vals[7]),
-		Dropped:      int(vals[8]),
-		DedupHits:    int(vals[9]),
-		Keys:         int(vals[10]),
-	}
-	if len(vals) >= shardStateLenV2 {
-		st.ModelKind = int(vals[11])
-		st.ModelS = int(vals[12])
-		st.ModelMin = int(vals[13])
-		st.ModelMax = int(vals[14])
-		st.ModelC = vals[15]
-		st.Switches = int(vals[16])
-	}
-	if len(vals) >= shardStateLen {
-		st.SnapshotEpoch = int(vals[17])
-		st.ROPulls = int(vals[18])
-	}
-	return st, nil
+	return ShardState{
+		VTrain:        int(vals[0]),
+		MinProgress:   int(vals[1]),
+		MaxProgress:   int(vals[2]),
+		CountAtRound:  int(vals[3]),
+		Buffered:      int(vals[4]),
+		Pulls:         int(vals[5]),
+		Pushes:        int(vals[6]),
+		DPRs:          int(vals[7]),
+		Dropped:       int(vals[8]),
+		DedupHits:     int(vals[9]),
+		Keys:          int(vals[10]),
+		ModelKind:     int(vals[11]),
+		ModelS:        int(vals[12]),
+		ModelMin:      int(vals[13]),
+		ModelMax:      int(vals[14]),
+		ModelC:        vals[15],
+		Switches:      int(vals[16]),
+		SnapshotEpoch: int(vals[17]),
+		ROPulls:       int(vals[18]),
+	}, nil
 }
 
 // handleStats answers a MsgStats query from the server's message loop
@@ -159,9 +146,10 @@ func (s *Server) handleStats(msg *transport.Message) error {
 	return nil
 }
 
-// statsSeq numbers QueryStats requests process-wide, so a late answer
-// to an earlier query can never pass for a later one's.
-var statsSeq atomic.Uint64
+// adminSeq numbers admin requests (QueryStats, SetCondition)
+// process-wide, so a late answer to an earlier request can never pass for
+// a later one's.
+var adminSeq atomic.Uint64
 
 // QueryStats fetches a live server's synchronization state from an admin
 // endpoint (one not used by a Worker's receive loop). Only the answer
@@ -172,7 +160,7 @@ func QueryStats(ctx context.Context, ep transport.Endpoint, server int) (ShardSt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	from, seq := transport.Server(server), statsSeq.Add(1)
+	from, seq := transport.Server(server), adminSeq.Add(1)
 	msg := &transport.Message{Type: transport.MsgStats, To: from, Seq: seq}
 	if err := ep.Send(msg); err != nil {
 		return ShardState{}, err

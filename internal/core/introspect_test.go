@@ -68,7 +68,7 @@ func TestQueryStatsSkipsStrayAndStaleResponses(t *testing.T) {
 	injector := net.Endpoint(transport.Worker(8))
 	defer injector.Close()
 
-	next := statsSeq.Load() + 1
+	next := adminSeq.Load() + 1
 	strays := []*transport.Message{
 		{From: transport.Server(1), Seq: next},
 		{From: transport.Server(0), Seq: next - 1},

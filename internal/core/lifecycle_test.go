@@ -98,8 +98,8 @@ func TestWorkerTimeoutDoesNotLeakWaiting(t *testing.T) {
 
 // TestDuplicatePushAppliedOnce: the same (From, Seq) push delivered twice
 // must be applied to the shard exactly once, acked twice, and counted as
-// one dedup hit — the idempotence that makes transport retries safe. Both
-// apply loops.
+// one dedup hit — the idempotence that makes transport retries safe.
+// Inline and pooled apply.
 func TestDuplicatePushAppliedOnce(t *testing.T) {
 	for _, aw := range []int{1, 2} {
 		t.Run(fmt.Sprintf("applyWorkers=%d", aw), func(t *testing.T) {
@@ -166,7 +166,7 @@ func TestDuplicatePushAppliedOnce(t *testing.T) {
 // TestDuplicatePullReanswered: a duplicated pull whose original was
 // already answered (the lost-response case) is answered again; one whose
 // original is still buffered as a DPR is ignored, then answered once on
-// release. Both apply loops.
+// release. Inline and pooled apply.
 func TestDuplicatePullLifecycle(t *testing.T) {
 	for _, aw := range []int{1, 2} {
 		t.Run(fmt.Sprintf("applyWorkers=%d", aw), func(t *testing.T) {

@@ -128,8 +128,7 @@ func FuzzDecodeWave(f *testing.F) {
 
 // FuzzDecodeShardState: arbitrary stats payloads must never panic, and
 // payloads that decode must re-encode to a stable frame. The corpus seeds
-// all three wire versions: legacy v1 (11 values, no model fields), v2
-// (17, no read-tier fields), and v3 (19).
+// a full frame, the zero state, and frames of the wrong length.
 func FuzzDecodeShardState(f *testing.F) {
 	full := ShardState{
 		VTrain: 12, MinProgress: 11, MaxProgress: 14, CountAtRound: 3,
@@ -139,11 +138,11 @@ func FuzzDecodeShardState(f *testing.F) {
 		ModelC: 0.25, Switches: 2,
 		SnapshotEpoch: 42, ROPulls: 900,
 	}
-	v3 := full.encode(nil)
-	f.Add(fuzzBytes(v3))
-	f.Add(fuzzBytes(v3[:shardStateLenV2])) // the v2 prefix is a valid v2 frame
-	f.Add(fuzzBytes(v3[:shardStateLenV1])) // the v1 prefix is a valid v1 frame
-	f.Add(fuzzBytes([]float64{1, 2, 3}))   // wrong length: must error, not panic
+	frame := full.encode(nil)
+	f.Add(fuzzBytes(frame))
+	f.Add(fuzzBytes(ShardState{}.encode(nil)))
+	f.Add(fuzzBytes(frame[:shardStateLen-1])) // one short: must error, not panic
+	f.Add(fuzzBytes([]float64{1, 2, 3}))      // wrong length: must error, not panic
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeShardState(fuzzFloats(data))

@@ -399,7 +399,7 @@ func trainWaves(t *testing.T, w *Worker, first, n int, params []float64) {
 
 // The read tier sleeps until its first reader: a server nobody reads
 // from trains without publishing, the first RO pull wakes it, and one
-// wave later an RO pull sees the live V_train. Both apply loops.
+// wave later an RO pull sees the live V_train. Inline and pooled apply.
 func TestROTierSleepsUntilFirstRead(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("applyWorkers=%d", workers), func(t *testing.T) {
@@ -455,8 +455,8 @@ func TestROTierSleepsUntilFirstRead(t *testing.T) {
 
 // A tier woken after training went idle gets the final parameters from
 // the housekeeping tick — exactly one publish, since V_train no longer
-// moves — instead of serving the boot snapshot forever. Both apply
-// loops; a HandleRO attach is the wake-up.
+// moves — instead of serving the boot snapshot forever. Inline and
+// pooled apply; a HandleRO attach is the wake-up.
 func TestROTierWokenWhenIdlePublishesOnTick(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("applyWorkers=%d", workers), func(t *testing.T) {

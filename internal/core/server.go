@@ -64,19 +64,18 @@ type ServerConfig struct {
 	// and its apply stage (Run decodes and applies concurrently); zero
 	// selects DefaultApplyQueueDepth.
 	ApplyQueueDepth int
-	// ApplyWorkers sets the apply-stage parallelism. 1 (or negative)
-	// keeps the serial apply loop: one goroutine owns controller and
-	// shard, messages are handled one at a time. Values above 1 enable
-	// the wave-batched apply engine (applyengine.go): queued pushes and
-	// pulls are drained in waves, same-key gradients coalesce into fused
-	// batches, and per-stripe batches are applied by this many pool
-	// goroutines. Zero derives the count from GOMAXPROCS. The count is
-	// capped at the stripe count.
+	// ApplyWorkers sets the apply-stage parallelism of the wave-batched
+	// apply engine (applyengine.go): queued pushes and pulls are drained
+	// in waves, same-key gradients coalesce into fused batches, and
+	// per-stripe batches are applied by this many pool goroutines. 1 (or
+	// negative) applies each wave inline on the apply goroutine and starts
+	// no pool. Zero derives the count from GOMAXPROCS. The count is capped
+	// at the stripe count.
 	ApplyWorkers int
 	// ApplyStripes sets how many independently locked stripes the shard
 	// is divided into (rounded up to a power of two, clamped to
 	// [1, kvstore.MaxStripes]). Zero derives it from the resolved worker
-	// count: 1 stripe for a serial server, 4× the workers otherwise (so
+	// count: 1 stripe for an inline engine, 4× the workers otherwise (so
 	// stripe collisions between concurrently applied batches stay rare).
 	ApplyStripes int
 	// Telemetry, when non-nil, receives the server's runtime metrics
@@ -132,7 +131,7 @@ const DefaultAdaptEvery = 250 * time.Millisecond
 const DefaultApplyQueueDepth = 64
 
 // applyWorkers resolves ServerConfig.ApplyWorkers: zero means
-// GOMAXPROCS, anything below one means serial.
+// GOMAXPROCS, anything below one means inline (1).
 func (cfg *ServerConfig) applyWorkers() int {
 	w := cfg.ApplyWorkers
 	if w == 0 {
@@ -146,7 +145,7 @@ func (cfg *ServerConfig) applyWorkers() int {
 
 // applyStripes resolves ServerConfig.ApplyStripes: an explicit count is
 // passed through (kvstore normalizes it); zero derives from the worker
-// count — one stripe for a serial server, 4× workers for the engine.
+// count — one stripe for an inline engine, 4× workers for a pool.
 func (cfg *ServerConfig) applyStripes() int {
 	if cfg.ApplyStripes > 0 {
 		return cfg.ApplyStripes
@@ -173,6 +172,9 @@ type Server struct {
 	shard *kvstore.Shard
 	ctrl  *syncmodel.Controller
 	keys  []keyrange.Key
+	// eng is the apply engine Run drives (applyengine.go): pushes and
+	// pulls, replayed held ones included, stage into its waves.
+	eng *applyEngine
 
 	mu    sync.Mutex
 	stats syncmodel.Stats
@@ -196,9 +198,6 @@ type Server struct {
 	started time.Time
 	// switches counts sync-model kind changes (admin- or adaptive-driven).
 	switches int
-
-	// reb tracks an in-progress elastic rebalance (rebalance.go).
-	reb *rebalanceState
 
 	// views tracks the installed cluster view; epoch caches its stamp for
 	// the request fence. Both are owned by the apply goroutine (epoch is
@@ -544,15 +543,7 @@ func (s *Server) Run() error {
 	if err := s.replTick(); err != nil {
 		return err
 	}
-	var (
-		shutdown bool
-		err      error
-	)
-	if workers := s.cfg.applyWorkers(); workers > 1 {
-		shutdown, err = s.runBatched(queue, workers)
-	} else {
-		shutdown, err = s.runSerial(queue)
-	}
+	shutdown, err := s.runBatched(queue)
 	if err != nil {
 		if errors.Is(err, transport.ErrClosed) {
 			// The endpoint was closed under a mid-flight handler (a kill
@@ -572,35 +563,7 @@ func (s *Server) Run() error {
 	return fmt.Errorf("core: server %d recv: %w", s.cfg.Rank, err)
 }
 
-// runSerial is Run's apply stage when ApplyWorkers ≤ 1: the original
-// one-message-at-a-time loop, plus the periodic adaptive re-evaluation
-// tick (a no-op unless the shard runs an adaptive model).
-func (s *Server) runSerial(queue chan queuedMsg) (shutdown bool, err error) {
-	tick := time.NewTicker(s.adaptEvery())
-	defer tick.Stop()
-	for {
-		select {
-		case q, ok := <-queue:
-			if !ok {
-				return false, nil
-			}
-			if s.metrics.on {
-				s.metrics.applyWait.Observe(time.Since(q.at))
-			}
-			shutdown, err := s.apply(q.msg)
-			if err != nil || shutdown {
-				return shutdown, err
-			}
-			s.maybePublishSnapshot()
-		case <-tick.C:
-			if err := s.housekeep(); err != nil {
-				return false, err
-			}
-		}
-	}
-}
-
-// housekeep is the apply loops' periodic tick, between messages or waves:
+// housekeep is the apply loop's periodic tick, between waves:
 // adaptive re-evaluation, the replication clock, and a read-tier publish
 // whenever V_train moved, so a reader arriving after training went idle
 // still gets the final parameters.
@@ -622,11 +585,14 @@ type queuedMsg struct {
 	at  time.Time
 }
 
-// apply dispatches one message. Receiver-owned pooled messages (TCP
+// apply dispatches one message. Pushes and pulls are staged into the
+// apply engine's current wave, which owns them until the wave flushes;
+// every other type is a barrier, handled against a quiescent shard (the
+// caller flushed the wave first). Receiver-owned pooled messages (TCP
 // frames, handed-off pointers) are recycled after their handler returns —
-// except MsgMigrate when handleMigrate buffers it until its rebalance or
-// view arrives, and pushes/pulls held while their keys are in flight
-// during a migration.
+// except MsgMigrate when handleViewMigrate buffers it until its view
+// arrives, and pushes/pulls held while their keys are in flight during a
+// migration.
 func (s *Server) apply(msg *transport.Message) (shutdown bool, err error) {
 	switch msg.Type {
 	case transport.MsgPush:
@@ -634,33 +600,24 @@ func (s *Server) apply(msg *transport.Message) (shutdown bool, err error) {
 			s.holdMsg(msg)
 			return false, nil
 		}
-		err = s.handlePush(msg)
-		transport.ReleaseReceived(msg)
-		if err == nil {
-			s.snapshotStats()
-		}
+		err = s.eng.stagePush(msg)
 	case transport.MsgPull:
 		if s.holdForMigration(msg) {
 			s.holdMsg(msg)
 			return false, nil
 		}
-		err = s.handlePull(msg)
-		transport.ReleaseReceived(msg)
-		if err == nil {
-			s.snapshotStats()
-		}
+		tok, answer, perr := s.takePull(msg)
+		s.eng.stagePull(msg, tok, answer)
+		err = perr
 	case transport.MsgSetCond:
 		err = s.handleSetCond(msg)
 		transport.ReleaseReceived(msg)
 		if err == nil {
 			s.snapshotStats()
 		}
-	case transport.MsgRebalance:
-		err = s.handleRebalance(msg)
-		transport.ReleaseReceived(msg)
 	case transport.MsgMigrate:
 		var retained bool
-		retained, err = s.handleMigrate(msg)
+		retained, err = s.handleViewMigrate(msg)
 		if !retained {
 			transport.ReleaseReceived(msg)
 		}
@@ -708,56 +665,6 @@ func (s *Server) ack(typ transport.MsgType, to transport.NodeID, seq uint64) err
 	return transport.SendOwned(s.ep, a)
 }
 
-func (s *Server) handlePush(msg *transport.Message) error {
-	if _, dup := s.dedupLookup(msg.From, msg.Seq); dup {
-		// A retransmission (or a duplicated frame) of a push already
-		// consumed: re-ack so the retrying worker unblocks, but never
-		// re-apply the gradient — at-least-once delivery plus this
-		// window yields effectively-once application.
-		s.dedupHits++
-		s.metrics.dedupPushHits.Inc()
-		// The re-ack parks like the original if its wave is still pending
-		// replication: an ack must always mean "replicated".
-		if err := s.ackOrPark(msg.From, msg.Seq); err != nil {
-			return fmt.Errorf("core: server %d re-ack push: %w", s.cfg.Rank, err)
-		}
-		return nil
-	}
-	if s.staleFenced(msg) {
-		return s.rejectStale(msg)
-	}
-	worker := int(msg.From.Rank)
-	progress := int(msg.Progress)
-	if s.adapt != nil {
-		s.adapt.ObservePush(worker, s.now())
-	}
-	advancesBefore := s.debugAdvances()
-	apply, released := s.ctrl.OnPush(worker, progress)
-	s.assertDrainImpliesAdvance(len(released), advancesBefore)
-	if apply {
-		// Algorithm 1 line 15: w ← w + g/N, before draining pulls.
-		if err := s.shard.ApplyGradPayload(msg.Keys, msg.Vals, 1/float64(s.cfg.NumWorkers)); err != nil {
-			return fmt.Errorf("core: server %d apply push from %s: %w", s.cfg.Rank, msg.From, err)
-		}
-		s.metrics.pushesApplied.Inc()
-	} else {
-		s.metrics.pushesDropped.Inc()
-	}
-	// A dropped push is consumed too: its duplicate must not be offered
-	// to the controller a second time.
-	s.dedupRecord(msg.From, msg.Seq, dedupPushDone)
-	if s.replActive() {
-		// Acked ⇒ replicated: the ack is parked on the wave carrying this
-		// push's effects and released by the backup's acknowledgement.
-		if err := s.replicatePush(msg, apply); err != nil {
-			return err
-		}
-	} else if err := s.ack(transport.MsgPushAck, msg.From, msg.Seq); err != nil {
-		return fmt.Errorf("core: server %d ack push: %w", s.cfg.Rank, err)
-	}
-	return s.releasePulls(released)
-}
-
 // releasePulls answers the pulls a push, a model switch, or an adaptive
 // decision drained from the DPR buffer.
 func (s *Server) releasePulls(released []syncmodel.Pull) error {
@@ -789,14 +696,6 @@ type pullToken struct {
 	// at is the buffering timestamp feeding the time-in-DPR-buffer
 	// histogram; zero when telemetry is off or the pull never buffered.
 	at time.Time
-}
-
-func (s *Server) handlePull(msg *transport.Message) error {
-	tok, answer, err := s.takePull(msg)
-	if err != nil || !answer {
-		return err // rejected, or buffered as a DPR answered by a later push
-	}
-	return s.respondPull(tok)
 }
 
 // takePull runs a pull's control logic for either apply loop: the dedup
@@ -886,9 +785,11 @@ func (s *Server) handleSetCond(msg *transport.Message) error {
 
 // SetCondition asks a server to switch its synchronization model at
 // runtime and waits (cancellably) for the acknowledgement. Call it from
-// an endpoint that is not concurrently used by a Worker's receive loop
-// (e.g. an admin endpoint). On cancellation the receive keeps draining in
-// the background until the endpoint closes or the ack arrives.
+// an admin endpoint (one not used by a Worker's receive loop). Only that
+// server's ack to this request counts: stray traffic and stale acks left
+// by abandoned calls are released and skipped. On cancellation the
+// receive keeps draining in the background until the endpoint closes or
+// the ack arrives.
 func SetCondition(ctx context.Context, ep transport.Endpoint, server int, spec syncmodel.Spec) error {
 	if _, err := spec.Build(); err != nil {
 		return err
@@ -896,28 +797,22 @@ func SetCondition(ctx context.Context, ep transport.Endpoint, server int, spec s
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	msg := &transport.Message{
-		Type: transport.MsgSetCond,
-		To:   transport.Server(server),
-		Seq:  1,
-		Vals: spec.Encode(),
-	}
+	from, seq := transport.Server(server), adminSeq.Add(1)
+	msg := &transport.Message{Type: transport.MsgSetCond, To: from, Seq: seq, Vals: spec.Encode()}
 	if err := ep.Send(msg); err != nil {
 		return err
 	}
-	resp, err := recvCtx(ctx, ep)
-	if err != nil {
-		if ctx.Err() != nil {
+	for {
+		resp, err := recvCtx(ctx, ep)
+		if err != nil {
 			return fmt.Errorf("core: set-cond on server %d: %w", server, err)
 		}
-		return err
+		ok := resp.Type == transport.MsgSetCondAck && resp.From == from && resp.Seq == seq
+		transport.ReleaseReceived(resp)
+		if ok {
+			return nil
+		}
 	}
-	typ := resp.Type
-	transport.ReleaseReceived(resp)
-	if typ != transport.MsgSetCondAck {
-		return fmt.Errorf("core: unexpected %s in reply to set-cond", typ)
-	}
-	return nil
 }
 
 func (s *Server) respondPull(tok pullToken) error {

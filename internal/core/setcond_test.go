@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -72,5 +73,49 @@ func TestSetConditionValidation(t *testing.T) {
 	defer admin.Close()
 	if err := SetCondition(tctx, admin, 0, syncmodel.Spec{Kind: 99}); err == nil {
 		t.Error("invalid spec accepted")
+	}
+}
+
+// SetCondition takes only its own server's ack to its own request: a
+// stray stats response, a stale ack left by an earlier call, and another
+// server's ack carrying the very seq the call will use, all queued ahead
+// of the real ack, are skipped — and the real ack is consumed, not left
+// behind for the next caller.
+func TestSetConditionSkipsStrayAndStaleReplies(t *testing.T) {
+	net, _, _, _ := testServer(t, syncmodel.SSP(1), syncmodel.Lazy, 1)
+	admin := net.Endpoint(transport.Worker(7))
+	defer admin.Close()
+	injector := net.Endpoint(transport.Worker(8))
+	defer injector.Close()
+
+	next := adminSeq.Load() + 1
+	strays := []*transport.Message{
+		{Type: transport.MsgStatsResp, From: transport.Server(0), Seq: next,
+			Vals: ShardState{VTrain: 777}.encode(nil)},
+		{Type: transport.MsgSetCondAck, From: transport.Server(0), Seq: next - 1},
+		{Type: transport.MsgSetCondAck, From: transport.Server(1), Seq: next},
+	}
+	for _, m := range strays {
+		m.To = admin.ID()
+		if err := injector.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := SetCondition(tctx, admin, 0, syncmodel.Spec{Kind: syncmodel.KindASP}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if msg, err := recvCtx(ctx, admin); err == nil {
+		t.Fatalf("%s (seq %d from %s) left on the admin endpoint", msg.Type, msg.Seq, msg.From)
+	}
+	// The cancelled receive above keeps draining admin; query from the
+	// injector instead.
+	st, err := QueryStats(tctx, injector, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ModelKind != int(syncmodel.KindASP) {
+		t.Fatalf("server runs model kind %d after set-cond, want ASP", st.ModelKind)
 	}
 }

@@ -142,8 +142,11 @@ func (s *Server) holdMsg(msg *transport.Message) {
 }
 
 // replayHeld re-runs parked requests after a view install or migration
-// completion; requests still waiting on another in-flight change are
-// re-held by the handlers' own hold checks.
+// completion, through the apply engine like fresh arrivals: requests
+// still waiting on another in-flight change are re-held by apply's own
+// hold check, the rest stage into waves in their arrival order. It runs
+// inside a barrier, so the wave it fills starts empty and is flushed
+// before it returns.
 func (s *Server) replayHeld() error {
 	if len(s.held) == 0 {
 		return nil
@@ -151,23 +154,19 @@ func (s *Server) replayHeld() error {
 	held := s.held
 	s.held = nil
 	for _, msg := range held {
-		if s.holdForMigration(msg) {
-			s.holdMsg(msg)
-			continue
-		}
-		var err error
-		switch msg.Type {
-		case transport.MsgPush:
-			err = s.handlePush(msg)
-		case transport.MsgPull:
-			err = s.handlePull(msg)
-		}
-		if err != nil {
+		if _, err := s.apply(msg); err != nil {
 			return err
 		}
-		transport.ReleaseReceived(msg)
-		s.snapshotStats()
+		if len(s.eng.msgs) >= maxWaveMsgs {
+			if err := s.eng.flush(); err != nil {
+				return err
+			}
+		}
 	}
+	if err := s.eng.flush(); err != nil {
+		return err
+	}
+	s.snapshotStats()
 	return nil
 }
 
@@ -383,7 +382,8 @@ func (s *Server) handleViewMigrate(msg *transport.Message) (retained bool, err e
 		return false, s.finishViewMigration()
 	default:
 		// A replay of an older epoch's transfer, or a dup after the
-		// migration finished: already accounted for.
+		// migration finished: already accounted for. An unstamped
+		// (epoch-0) transfer belongs to no view and is ignored.
 		return false, nil
 	}
 }

@@ -565,6 +565,21 @@ func (w *Worker) maybeAdoptAssignment() {
 	w.SetAssignment(v.Assignment)
 }
 
+// SetAssignment points the worker at a new key assignment (view
+// adoption calls it with the adopted view's). The caller must guarantee
+// no requests are in flight: the per-server sender pipelines are torn
+// down and rebuilt for the new server count.
+func (w *Worker) SetAssignment(next *keyrange.Assignment) {
+	w.stopPipes()
+	w.cfg.Assignment = next
+	w.servers = next.NumServers()
+	w.keysPerServer = make([][]keyrange.Key, w.servers)
+	for m := 0; m < w.servers; m++ {
+		w.keysPerServer[m] = next.KeysOf(m)
+	}
+	w.startPipes()
+}
+
 func (w *Worker) lostErr(err error) error {
 	if err == transport.ErrClosed {
 		return transport.ErrClosed

@@ -227,6 +227,21 @@ func TestRebalanceNoOpWhenAllAlive(t *testing.T) {
 
 // Property: every key is assigned to a valid server and total load is
 // preserved, for both slicers and arbitrary layouts.
+func TestScaleUpValidation(t *testing.T) {
+	layout := MustLayout([]int{1, 2, 3})
+	a, _ := EPS(layout, 3)
+	if _, err := ScaleUp(a, layout, 2); err == nil {
+		t.Error("shrinking via ScaleUp accepted")
+	}
+	same, err := ScaleUp(a, layout, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Moved(a, same) != 0 {
+		t.Error("no-op scale-up moved keys")
+	}
+}
+
 func TestSlicingProperties(t *testing.T) {
 	f := func(rawSizes []uint16, rawServers uint8) bool {
 		sizes := make([]int, 0, len(rawSizes))

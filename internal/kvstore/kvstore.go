@@ -353,8 +353,8 @@ func (s *Shard) GatherShard(dst []float64, keys []keyrange.Key) ([]float64, erro
 // keys and size mismatches return an error before fn sees the offending
 // key — which is what lets the server's apply engine partition a push
 // into per-stripe batches and report a malformed push identically to
-// the serial path (ApplyGradPayload). Requires quiescence (ownership is
-// checked without stripe locks).
+// ApplyGradPayload. Requires quiescence (ownership is checked without
+// stripe locks).
 func (s *Shard) ForEachPayload(keys []keyrange.Key, vals []float64, fn func(k keyrange.Key, grad []float64)) error {
 	off := 0
 	for _, k := range keys {

@@ -217,6 +217,9 @@ func runHandlerInventory(pass *Pass) {
 					continue
 				}
 				for _, name := range vs.Names {
+					if name.Name == "_" {
+						continue // a retired value's slot: nothing to dispatch
+					}
 					c, ok := pass.Pkg.Info.Defs[name].(*types.Const)
 					if !ok || !isMsgType(c.Type()) {
 						continue

@@ -18,6 +18,7 @@ const (
 	MsgD // want "message type MsgD is handled by no dispatch switch"
 	//lint:dispatch peer-only probe type, consumed inline by the receive loop
 	MsgE
+	_ // a retired value's slot declares no message type: not flagged
 )
 
 // A dispatch (three or more cases) with no default arm: unknown types

@@ -57,7 +57,7 @@ type AdaptiveConfig struct {
 }
 
 // withDefaults resolves zero fields to their defaults. The staleness
-// triple is resolved as a unit, like DSPS's legacy bounds: all-zero means
+// triple is resolved as a unit, like a DSPS spec's bounds: all-zero means
 // "use the defaults", while any explicit value keeps the triple as given.
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if c.InitialS == 0 && c.MinS == 0 && c.MaxS == 0 {

@@ -7,9 +7,7 @@ import (
 )
 
 // FuzzDecodeSpec: arbitrary payloads must never panic DecodeSpec, and any
-// spec that decodes must re-encode to a stable v2 frame. The corpus seeds
-// both wire versions, in particular the legacy three-value form whose
-// DSPS bounds are materialized on decode.
+// spec that decodes must re-encode to a stable frame.
 func FuzzDecodeSpec(f *testing.F) {
 	toBytes := func(vals []float64) []byte {
 		b := make([]byte, 8*len(vals))
@@ -21,9 +19,8 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add(toBytes(Spec{Kind: KindSSP, S: 3}.Encode()))
 	f.Add(toBytes(Spec{Kind: KindDSPS, S: 2, Min: 1, Max: 8}.Encode()))
 	f.Add(toBytes(Spec{Kind: KindAdaptive, S: 4, Min: 1, Max: 16}.Encode()))
-	// Legacy v1 payloads: three values, bounds implied.
-	f.Add(toBytes([]float64{float64(KindDSPS), 2, 0}))
-	f.Add(toBytes([]float64{float64(KindPSSPConst), 3, 0.5}))
+	f.Add(toBytes(Spec{Kind: KindDSPS, S: 2}.Encode())) // hand-built: bounds all zero
+	f.Add(toBytes(Spec{Kind: KindPSSPConst, S: 3, C: 0.5}.Encode()))
 	f.Add(toBytes([]float64{1, 2, 3, 4})) // wrong length: error, not panic
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -46,13 +43,6 @@ func FuzzDecodeSpec(f *testing.F) {
 			if math.Float64bits(enc[i]) != math.Float64bits(enc2[i]) {
 				t.Fatalf("encode not stable at word %d: %x -> %x",
 					i, math.Float64bits(enc[i]), math.Float64bits(enc2[i]))
-			}
-		}
-		// A v1 DSPS spec must come back with its historical bounds, so its
-		// meaning survives the version bump.
-		if len(vals) == specPayloadLenV1 && s.Kind == KindDSPS && s.S > 0 {
-			if s.Min != 1 || s.Max != 4*s.S {
-				t.Fatalf("v1 DSPS bounds not materialized: got [%d,%d], want [1,%d]", s.Min, s.Max, 4*s.S)
 			}
 		}
 	})

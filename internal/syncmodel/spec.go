@@ -79,8 +79,7 @@ func (c *Controller) Spec() (Spec, bool) { return SpecOf(c.model) }
 
 // dspsBounds resolves the spec's staleness range exactly as DSPS's
 // constructor validates it. A spec with both bounds zero and a positive S
-// is a legacy (v1) payload or a hand-built spec: it gets the historical
-// default range [1, 4S].
+// is a hand-built spec: it gets the default range [1, 4S].
 func (s Spec) dspsBounds() (DSPSConfig, error) {
 	cfg := DSPSConfig{Initial: s.S, Min: s.Min, Max: s.Max}
 	if s.Min == 0 && s.Max == 0 && s.S > 0 {
@@ -140,42 +139,24 @@ func (s Spec) Build() (Model, error) {
 	}
 }
 
-// specPayloadLen is the v2 wire payload length; specPayloadLenV1 is the
-// pre-bounds format still accepted by DecodeSpec.
-const (
-	specPayloadLenV1 = 3
-	specPayloadLen   = 5
-)
+// specPayloadLen is the wire payload length of an encoded Spec.
+const specPayloadLen = 5
 
-// Encode packs the spec into float64s for transport payloads. The v2
-// format appends the staleness bounds: [kind, s, c, min, max]. Decoders
-// distinguish versions by length, so v1 three-value payloads from older
-// peers still decode (see DecodeSpec).
+// Encode packs the spec into float64s for transport payloads:
+// [kind, s, c, min, max].
 func (s Spec) Encode() []float64 {
 	return []float64{float64(s.Kind), float64(s.S), s.C, float64(s.Min), float64(s.Max)}
 }
 
-// DecodeSpec unpacks a payload written by Encode. Three-value v1 payloads
-// (which predate the bounds fields) are still accepted; a v1 DSPS spec
-// materializes the historical default range [1, 4S] so that its meaning —
-// not just its bytes — is preserved across the version bump.
+// DecodeSpec unpacks a payload written by Encode.
 func DecodeSpec(vals []float64) (Spec, error) {
-	switch len(vals) {
-	case specPayloadLenV1:
-		s := Spec{Kind: Kind(vals[0]), S: int(vals[1]), C: vals[2]}
-		if s.Kind == KindDSPS && s.S > 0 {
-			s.Min, s.Max = 1, 4*s.S
-		}
-		return s, nil
-	case specPayloadLen:
-		return Spec{
-			Kind: Kind(vals[0]), S: int(vals[1]), C: vals[2],
-			Min: int(vals[3]), Max: int(vals[4]),
-		}, nil
-	default:
-		return Spec{}, fmt.Errorf("syncmodel: spec payload has %d values, want %d (or legacy %d)",
-			len(vals), specPayloadLen, specPayloadLenV1)
+	if len(vals) != specPayloadLen {
+		return Spec{}, fmt.Errorf("syncmodel: spec payload has %d values, want %d", len(vals), specPayloadLen)
 	}
+	return Spec{
+		Kind: Kind(vals[0]), S: int(vals[1]), C: vals[2],
+		Min: int(vals[3]), Max: int(vals[4]),
+	}, nil
 }
 
 // SetModel swaps the controller's synchronization model at runtime. All

@@ -80,27 +80,6 @@ func TestSpecRoundTripIsLossless(t *testing.T) {
 	}
 }
 
-// TestDecodeSpecLegacyPayload: pre-bounds 3-value payloads (kind, s, c)
-// from old peers must still decode; a legacy DSPS spec materializes the
-// historical default bounds [1, 4s].
-func TestDecodeSpecLegacyPayload(t *testing.T) {
-	got, err := DecodeSpec([]float64{float64(KindDSPS), 2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Spec{Kind: KindDSPS, S: 2, Min: 1, Max: 8}
-	if got != want {
-		t.Errorf("legacy DSPS payload decoded to %+v, want %+v", got, want)
-	}
-	got, err = DecodeSpec([]float64{float64(KindSSP), 3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (got != Spec{Kind: KindSSP, S: 3}) {
-		t.Errorf("legacy SSP payload decoded to %+v", got)
-	}
-}
-
 // TestDSPSZeroInitialAligned: DSPS(Initial:0) was always legal locally;
 // Spec.Build used to reject S<1 for the same configuration. The two
 // validations must agree.
@@ -150,6 +129,10 @@ func TestSpecBuildValidation(t *testing.T) {
 func TestDecodeSpecValidation(t *testing.T) {
 	if _, err := DecodeSpec([]float64{1, 2}); err == nil {
 		t.Error("short payload accepted")
+	}
+	// The pre-bounds three-value form is no longer a valid frame.
+	if _, err := DecodeSpec([]float64{float64(KindDSPS), 2, 0}); err == nil {
+		t.Error("three-value payload accepted")
 	}
 }
 

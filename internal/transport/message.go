@@ -93,15 +93,13 @@ const (
 	MsgSetCond
 	// MsgSetCondAck confirms the reconfiguration.
 	MsgSetCondAck
-	// MsgRebalance starts an elastic rebalance; Vals carries the encoded
-	// new key assignment. Sent by an admin to every server.
-	MsgRebalance
-	// MsgMigrate hands a key segment to its new owner during a rebalance
-	// (Keys: the single key; Vals: its parameters).
+	_ // retired quiesced-rebalance request; the slot keeps later values stable
+	// MsgMigrate hands departing keys to their new owner during a view
+	// transition: View is the view's epoch stamp, Keys the keys, Vals
+	// their packed checkpoint stream followed by the donor's controller
+	// image.
 	MsgMigrate
-	// MsgRebalanceAck confirms a server has sent all departing segments
-	// and received all arriving ones.
-	MsgRebalanceAck
+	_ // retired quiesced-rebalance ack; the slot keeps later values stable
 	// MsgStats asks a server for its synchronization state.
 	MsgStats
 	// MsgStatsResp answers MsgStats; Vals carries the encoded state (see
@@ -183,12 +181,8 @@ func (t MsgType) String() string {
 		return "set_cond"
 	case MsgSetCondAck:
 		return "set_cond_ack"
-	case MsgRebalance:
-		return "rebalance"
 	case MsgMigrate:
 		return "migrate"
-	case MsgRebalanceAck:
-		return "rebalance_ack"
 	case MsgStats:
 		return "stats"
 	case MsgStatsResp:
